@@ -14,7 +14,6 @@ import (
 	"xmlest/internal/core"
 	"xmlest/internal/datagen"
 	"xmlest/internal/predicate"
-	"xmlest/internal/shard"
 	"xmlest/internal/xmltree"
 )
 
@@ -108,51 +107,35 @@ func BenchmarkAppendRebuildMonolithic(b *testing.B) {
 }
 
 // BenchmarkShardedEstimate times a hot estimate against sharded
-// corpora of growing width, on both serving paths: the default
-// merged-summary path (the store's background fold answers in O(1)
-// shards — the serving set is folded synchronously before timing) and
-// the pure per-shard fan-out (one compiled query per shard, summed) it
-// falls back to for fresh unmerged tails.
+// corpora of growing width: the binding's shard-order sum is computed
+// on its first estimate, so a hot estimate should not grow with width.
 func BenchmarkShardedEstimate(b *testing.B) {
 	b.ReportAllocs()
 	for _, shards := range []int{10, 40} {
-		for _, mode := range []string{"merged", "fanout"} {
-			b.Run(fmt.Sprintf("shards=%d/%s", shards, mode), func(b *testing.B) {
-				b.ReportAllocs()
-				// The serving default caps folds at narrow (post-compaction)
-				// sets; this benchmark deliberately folds a wide one to
-				// isolate hot-estimate cost at scale.
-				defer shard.SetMergedMaxGridSize(shard.SetMergedMaxGridSize(1024))
-				db := xmlest.FromTree(benchDoc(1))
-				for i := 1; i < shards; i++ {
-					if _, err := db.AppendTree(benchDoc(int64(i + 1))); err != nil {
-						b.Fatal(err)
-					}
-				}
-				db.AddAllTagPredicates()
-				opts := xmlest.Options{GridSize: 10, DisableMergedServing: mode == "fanout"}
-				est, err := db.NewEstimator(opts)
-				if err != nil {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			db := xmlest.FromTree(benchDoc(1))
+			for i := 1; i < shards; i++ {
+				if _, err := db.AppendTree(benchDoc(int64(i + 1))); err != nil {
 					b.Fatal(err)
 				}
-				db.MergeSummaries()
-				if mode == "merged" {
-					if info, ok := est.MergedInfo(); !ok || !info.Fresh {
-						b.Fatalf("merged view not fresh: %+v", info)
-					}
-				}
+			}
+			db.AddAllTagPredicates()
+			est, err := db.NewEstimator(xmlest.Options{GridSize: 10})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := est.Estimate("//article//author"); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := est.Estimate("//article//author"); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := est.Estimate("//article//author"); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -539,21 +539,21 @@ type nodeReportJSON struct {
 }
 
 type reportJSON struct {
-	Target          string           `json:"target"`
-	DurationSeconds float64          `json:"duration_seconds"`
-	EstimateWorkers int              `json:"estimate_workers"`
-	AppendWorkers   int              `json:"append_workers"`
-	Errors          uint64           `json:"errors"`
-	Estimate        histJSON         `json:"estimate"`
-	Append          histJSON         `json:"append"`
-	AppendToVisible histJSON         `json:"append_to_visible"`
+	Target          string   `json:"target"`
+	DurationSeconds float64  `json:"duration_seconds"`
+	Estimators      int      `json:"estimate_workers"`
+	AppendWorkers   int      `json:"append_workers"`
+	Errors          uint64   `json:"errors"`
+	Estimate        histJSON `json:"estimate"`
+	Append          histJSON `json:"append"`
+	AppendToVisible histJSON `json:"append_to_visible"`
 	// Nodes breaks the run down per serving node in -targets mode:
 	// appends all went to the first (the leader); each entry's
 	// append_to_visible is that node's lag from the same append acks.
-	Nodes []nodeReportJSON `json:"nodes,omitempty"`
-	AckToDurable    *histJSON        `json:"ack_to_durable,omitempty"`
-	GroupCommit     *groupCommitJSON `json:"group_commit,omitempty"`
-	ServerStats     json.RawMessage  `json:"server_stats,omitempty"`
+	Nodes        []nodeReportJSON `json:"nodes,omitempty"`
+	AckToDurable *histJSON        `json:"ack_to_durable,omitempty"`
+	GroupCommit  *groupCommitJSON `json:"group_commit,omitempty"`
+	ServerStats  json.RawMessage  `json:"server_stats,omitempty"`
 	// MetricsDelta is the change in every counter-style /metrics series
 	// (_total/_count/_sum suffixes) across the load window — the
 	// daemon's own account of the run (fsyncs, commit groups, per-stage
@@ -651,7 +651,7 @@ func (b *bench) report(elapsed time.Duration, estimators, appenders int) reportJ
 	r := reportJSON{
 		Target:          b.addr,
 		DurationSeconds: elapsed.Seconds(),
-		EstimateWorkers: estimators,
+		Estimators:      estimators,
 		AppendWorkers:   appenders,
 		Errors:          b.errs.Load(),
 		Estimate:        digest(b.est, elapsed),

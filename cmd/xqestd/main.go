@@ -84,8 +84,6 @@ func main() {
 	seed := flag.Int64("seed", 2002, "built-in dataset seed")
 	grid := flag.Int("grid", 10, "histogram grid size g (gxg buckets)")
 	workers := flag.Int("build-workers", 0, "summary build workers (0 = GOMAXPROCS)")
-	estWorkers := flag.Int("estimate-workers", 0, "per-shard estimate fan-out workers for unmerged sets (0 = GOMAXPROCS)")
-	noMerged := flag.Bool("no-merged", false, "disable merged-summary serving; always fan out across shards (benchmark/debug knob)")
 	load := flag.String("load", "", "serve read-only from a saved summary (XQS1/XQS2) instead of data")
 	save := flag.String("save", "", "persist the summary snapshot here on shutdown")
 	autocompact := flag.Duration("autocompact", 0, "background compaction interval (0 disables)")
@@ -138,10 +136,8 @@ func main() {
 	cfg := server.Config{
 		Addr: *addr,
 		Options: xmlest.Options{
-			GridSize:             *grid,
-			BuildWorkers:         *workers,
-			EstimateWorkers:      *estWorkers,
-			DisableMergedServing: *noMerged,
+			GridSize:     *grid,
+			BuildWorkers: *workers,
 		},
 		MaxInflightAppends:  *maxAppends,
 		AutoCompactInterval: *autocompact,

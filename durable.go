@@ -170,7 +170,7 @@ func (db *Database) Degraded() (component, reason string, degraded bool) {
 }
 
 // Collectors returns the database's Prometheus collectors — the store's
-// serving-set/merged-serving families plus, for durable databases, the
+// serving-set families plus, for durable databases, the
 // WAL, group-commit, checkpoint, and append-pipeline families. The
 // daemon registers them on its metrics registry; embedders can do the
 // same with their own exposition.

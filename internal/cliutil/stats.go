@@ -62,10 +62,6 @@ func ShowStats(w io.Writer, baseURL string) error {
 		(time.Duration(st.UptimeSeconds * float64(time.Second))).Round(time.Second), st.Version, st.ReadOnly)
 	fmt.Fprintf(w, "corpus: %d doc(s), %d node(s), %d shard(s); summary %d bytes (grid %d)\n",
 		st.Corpus.Docs, st.Corpus.Nodes, st.Corpus.Shards, st.SummaryBytes, st.GridSize)
-	if st.Merged != nil {
-		fmt.Fprintf(w, "merged serving: enabled=%v fresh=%v covered=%d epoch=%d\n",
-			st.Merged.Enabled, st.Merged.Fresh, st.Merged.CoveredShards, st.Merged.Epoch)
-	}
 	if st.AppendedDocs > 0 || st.AutoCompactions > 0 {
 		fmt.Fprintf(w, "ingest: %d doc(s) appended; %d auto-compact round(s), %d shard(s) merged\n",
 			st.AppendedDocs, st.AutoCompactions, st.AutoMerged)

@@ -93,24 +93,6 @@ type Options struct {
 	// a configuration error (see Validate). It does not affect the
 	// built summaries.
 	QueryCacheSize int
-
-	// EstimateWorkers bounds the worker pool that fans per-shard
-	// estimation across a shard set when no merged summary covers it
-	// (cold compiled-query binds, uncompiled estimates). Zero means
-	// GOMAXPROCS; negative values are a configuration error (see
-	// Validate). Per-shard estimates are summed in shard order
-	// regardless of worker count, so results are bit-identical for
-	// every setting. It does not affect the built summaries.
-	EstimateWorkers int
-
-	// DisableMergedServing makes estimators built with these options
-	// always fan out across the live shards instead of consulting the
-	// shard store's background-merged summary. Fan-out and merged
-	// serving agree to float-accumulation order (≤1e-9 relative; see
-	// shard.Store merged serving), so this is a benchmarking and
-	// debugging knob, not a correctness one. It does not affect the
-	// built summaries.
-	DisableMergedServing bool
 }
 
 // DefaultOptions mirror the paper's experimental setup.
@@ -132,9 +114,6 @@ func (o Options) Validate() error {
 	}
 	if o.QueryCacheSize < 0 {
 		return fmt.Errorf("core: negative QueryCacheSize %d (use 0 for the default)", o.QueryCacheSize)
-	}
-	if o.EstimateWorkers < 0 {
-		return fmt.Errorf("core: negative EstimateWorkers %d (use 0 for GOMAXPROCS)", o.EstimateWorkers)
 	}
 	return nil
 }

@@ -16,9 +16,10 @@ import (
 // index-translation invariant, and cross-shard cell pairs contribute
 // zero, so the folded estimator reproduces the per-shard fan-out sum
 // to float-accumulation order. Unlike a compaction rebuild, the fold
-// touches only the summaries — O(total non-zero cells), no documents —
-// which is what lets the shard store refresh its merged serving view
-// after every mutation.
+// touches only the summaries — O(total non-zero cells), no documents.
+// Serving does not use it (the shard store answers by per-shard
+// fan-out; see DESIGN.md, "Serving plan"); it stays as a tested
+// property of the summaries and a benchmark probe.
 
 // MergedPredicateMixed marks predicate names whose per-shard summaries
 // disagree on the no-overlap property or on coverage availability.

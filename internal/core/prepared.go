@@ -159,9 +159,8 @@ func (pq *PreparedQuery) Estimate() (Result, error) {
 
 // Value is the zero-overhead form of Estimate: the estimate and
 // no-overlap flag without a Result or clock reads. Sharded serving sums
-// one Value per shard on every request, so the per-shard cost here is
-// the fan-out hot path; after the first call it is a pair of atomic
-// loads and a float read.
+// one Value per shard when it binds a query to a shard set; after the
+// first call it is a pair of atomic loads and a float read.
 func (pq *PreparedQuery) Value() (est float64, usedNoOverlap bool, err error) {
 	pq.once.Do(func() {
 		sp, noOv, err := pq.e.buildSubPattern(pq.p.Root)

@@ -130,8 +130,10 @@ func TestAncestorBasedMatchesBruteForce(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
+	// A fixed seed keeps the check replayable; the failure names it.
+	const quickSeed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(quickSeed))}); err != nil {
+		t.Errorf("quick.Check (seed %d): %v", quickSeed, err)
 	}
 }
 
@@ -151,8 +153,10 @@ func TestPHJoinMatchesBruteForce(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
+	// A fixed seed keeps the check replayable; the failure names it.
+	const quickSeed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(quickSeed))}); err != nil {
+		t.Errorf("quick.Check (seed %d): %v", quickSeed, err)
 	}
 }
 
@@ -172,8 +176,10 @@ func TestDescendantBasedMatchesBruteForce(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
+	// A fixed seed keeps the check replayable; the failure names it.
+	const quickSeed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(quickSeed))}); err != nil {
+		t.Errorf("quick.Check (seed %d): %v", quickSeed, err)
 	}
 }
 

@@ -3,6 +3,8 @@ package datagen
 import (
 	"bytes"
 	"math"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"xmlest/internal/xmltree"
@@ -176,6 +178,53 @@ func TestParseDTDErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := ParseDTD(src); err == nil {
 			t.Errorf("ParseDTD(%q): want error", src)
+		}
+	}
+}
+
+// TestParseDTDRejectsUnterminated: an element whose mandatory content
+// always recurses has no finite document, so Generate would expand it
+// until the stack overflows. ParseDTD must refuse it and name it.
+func TestParseDTDRejectsUnterminated(t *testing.T) {
+	for _, c := range []struct{ src, name string }{
+		{`<!ELEMENT a (a)>`, "a"},
+		{`<!ELEMENT a (a+)>`, "a"},
+		{`<!ELEMENT b EMPTY> <!ELEMENT a (b, a)>`, "a"},
+		{`<!ELEMENT a (b)> <!ELEMENT b (a)>`, "a"},
+		{`<!ELEMENT r (#PCDATA)> <!ELEMENT a (r | b)> <!ELEMENT b (b, r)>`, "b"},
+	} {
+		_, err := ParseDTD(c.src)
+		if err == nil {
+			t.Errorf("ParseDTD(%q): accepted an element with no finite expansion", c.src)
+			continue
+		}
+		if want := "element " + c.name + " "; !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseDTD(%q) = %v, want it to name element %s", c.src, err, c.name)
+		}
+	}
+}
+
+// TestDTDDepthBudgetSteersByOptionality: past the depth budget a
+// choice must take the alternative with the shallowest mandatory
+// content. Alternative (q*, r) needs depth 1 because q* may be
+// omitted; counting q's depth would steer e to s, whose own shallowest
+// alternative is e again, and expansion would never end.
+func TestDTDDepthBudgetSteersByOptionality(t *testing.T) {
+	src := `<!ELEMENT e ((q*, r) | s)> <!ELEMENT r EMPTY> <!ELEMENT s (e | t)>
+		<!ELEMENT q (q1)> <!ELEMENT q1 (q2)> <!ELEMENT q2 (q3)> <!ELEMENT q3 EMPTY>
+		<!ELEMENT t (t1)> <!ELEMENT t1 (t2)> <!ELEMENT t2 EMPTY>`
+	d, err := ParseDTD(src)
+	if err != nil {
+		t.Fatalf("ParseDTD: %v", err)
+	}
+	defer debug.SetMaxStack(debug.SetMaxStack(16 << 20))
+	for seed := int64(0); seed < 20; seed++ {
+		tr, err := d.Generate(GenConfig{Seed: seed, Root: "e", MaxDepth: 4, MaxNodes: 1000})
+		if err != nil {
+			t.Fatalf("Generate: %v", err)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }

@@ -88,6 +88,14 @@ func ParseDTD(src string) (*DTD, error) {
 			}
 		}
 	}
+	// Every element must admit a finite document: one whose mandatory
+	// content always recurses, like (a) or (b, a), would expand forever.
+	depth := d.minDepths()
+	for _, name := range d.order {
+		if depth[name] >= unterminated {
+			return nil, fmt.Errorf("datagen: element %s has no finite expansion (its mandatory content always recurses)", name)
+		}
+	}
 	return d, nil
 }
 
@@ -282,54 +290,23 @@ func (d *DTD) Generate(cfg GenConfig) (*xmltree.Tree, error) {
 	return g.b.Tree(), nil
 }
 
+// unterminated is the minimum depth of an element with no finite
+// expansion.
+const unterminated = 1 << 20
+
 // minDepths computes, per element, the minimum nesting depth required
 // to terminate expansion — used to steer recursive choices when the
-// depth budget runs out. Computed by fixpoint iteration.
+// depth budget runs out. Computed by fixpoint iteration; elements with
+// no finite expansion stay at unterminated.
 func (d *DTD) minDepths() map[string]int {
-	const inf = 1 << 20
 	depth := make(map[string]int, len(d.Elements))
 	for name := range d.Elements {
-		depth[name] = inf
-	}
-	var modelDepth func(m *contentModel) int
-	modelDepth = func(m *contentModel) int {
-		switch m.kind {
-		case cmPCDATA, cmEmpty:
-			return 0
-		case cmName:
-			if m.occur == '*' || m.occur == '?' {
-				return 0 // may be omitted entirely
-			}
-			return depth[m.name]
-		case cmSeq:
-			worst := 0
-			for _, c := range m.children {
-				if v := modelDepth(c); v > worst {
-					worst = v
-				}
-			}
-			if m.occur == '*' || m.occur == '?' {
-				return 0
-			}
-			return worst
-		case cmChoice:
-			best := inf
-			for _, c := range m.children {
-				if v := modelDepth(c); v < best {
-					best = v
-				}
-			}
-			if m.occur == '*' || m.occur == '?' {
-				return 0
-			}
-			return best
-		}
-		return 0
+		depth[name] = unterminated
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, name := range d.order {
-			v := modelDepth(d.Elements[name]) + 1
+			v := modelDepth(d.Elements[name], depth) + 1
 			if v < depth[name] {
 				depth[name] = v
 				changed = true
@@ -337,6 +314,33 @@ func (d *DTD) minDepths() map[string]int {
 		}
 	}
 	return depth
+}
+
+// modelDepth is the minimum nesting depth needed to complete m given
+// each element's minimum depth: an optional item ('?' or '*') needs
+// none, a choice its shallowest alternative and a sequence its deepest
+// item.
+func modelDepth(m *contentModel, depth map[string]int) int {
+	if m.occur == '*' || m.occur == '?' {
+		return 0 // may be omitted entirely
+	}
+	switch m.kind {
+	case cmName:
+		return depth[m.name]
+	case cmSeq:
+		worst := 0
+		for _, c := range m.children {
+			worst = max(worst, modelDepth(c, depth))
+		}
+		return worst
+	case cmChoice:
+		best := unterminated
+		for _, c := range m.children {
+			best = min(best, modelDepth(c, depth))
+		}
+		return best
+	}
+	return 0 // #PCDATA, EMPTY
 }
 
 type dtdGen struct {
@@ -435,9 +439,9 @@ func (g *dtdGen) geometric(m *contentModel) int {
 func (g *dtdGen) choose(m *contentModel, depth int) *contentModel {
 	if depth >= g.cfg.MaxDepth || g.nodes >= g.cfg.MaxNodes {
 		best := m.children[0]
-		bestD := g.altDepth(best)
+		bestD := modelDepth(best, g.minDepth)
 		for _, c := range m.children[1:] {
-			if v := g.altDepth(c); v < bestD {
+			if v := modelDepth(c, g.minDepth); v < bestD {
 				best, bestD = c, v
 			}
 		}
@@ -463,22 +467,4 @@ func (g *dtdGen) choose(m *contentModel, depth int) *contentModel {
 		x -= w
 	}
 	return m.children[len(m.children)-1]
-}
-
-// altDepth estimates the termination depth of a choice alternative.
-func (g *dtdGen) altDepth(m *contentModel) int {
-	switch m.kind {
-	case cmName:
-		return g.minDepth[m.name]
-	case cmPCDATA, cmEmpty:
-		return 0
-	default:
-		worst := 0
-		for _, c := range m.children {
-			if v := g.altDepth(c); v > worst {
-				worst = v
-			}
-		}
-		return worst
-	}
 }

@@ -143,8 +143,10 @@ func TestPropertyCountTwigEqualsBrute(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+	// A fixed seed keeps the check replayable; the failure names it.
+	const quickSeed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(quickSeed))}); err != nil {
+		t.Errorf("quick.Check (seed %d): %v", quickSeed, err)
 	}
 }
 

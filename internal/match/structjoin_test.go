@@ -57,8 +57,10 @@ func TestStructuralJoinMatchesCountPairs(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
+	// A fixed seed keeps the check replayable; the failure names it.
+	const quickSeed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(quickSeed))}); err != nil {
+		t.Errorf("quick.Check (seed %d): %v", quickSeed, err)
 	}
 }
 
@@ -158,7 +160,9 @@ func TestFindTwigMatchesCountAgreesWithCountTwig(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+	// A fixed seed keeps the check replayable; the failure names it.
+	const quickSeed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(quickSeed))}); err != nil {
+		t.Errorf("quick.Check (seed %d): %v", quickSeed, err)
 	}
 }

@@ -109,21 +109,16 @@ type ShardsResponse struct {
 // StatsResponse is the daemon's introspection surface: corpus shape,
 // summary size, and per-endpoint serving metrics.
 type StatsResponse struct {
-	UptimeSeconds   float64              `json:"uptime_seconds"`
-	Version         uint64               `json:"version"`
-	ReadOnly        bool                 `json:"read_only"`
-	Corpus          xmlest.DatabaseStats `json:"corpus"`
-	SummaryBytes    int                  `json:"summary_bytes"`
-	GridSize        int                  `json:"grid_size"`
-	AutoCompactions uint64               `json:"auto_compact_rounds"`
-	AutoMerged      uint64               `json:"auto_compact_merged"`
-	AppendedDocs    uint64               `json:"appended_docs"`
-	// Merged reports the merged-summary serving state: when Fresh, hot
-	// estimates are answered by one folded summary instead of an
-	// O(shards) fan-out. Absent for read-only servers loaded from a
-	// summary blob (no store to fold).
-	Merged    *xmlest.MergedInfo         `json:"merged,omitempty"`
-	Endpoints []metrics.EndpointSnapshot `json:"endpoints"`
+	UptimeSeconds   float64                    `json:"uptime_seconds"`
+	Version         uint64                     `json:"version"`
+	ReadOnly        bool                       `json:"read_only"`
+	Corpus          xmlest.DatabaseStats       `json:"corpus"`
+	SummaryBytes    int                        `json:"summary_bytes"`
+	GridSize        int                        `json:"grid_size"`
+	AutoCompactions uint64                     `json:"auto_compact_rounds"`
+	AutoMerged      uint64                     `json:"auto_compact_merged"`
+	AppendedDocs    uint64                     `json:"appended_docs"`
+	Endpoints       []metrics.EndpointSnapshot `json:"endpoints"`
 	// Patterns lists the most-requested estimate patterns (bounded
 	// top-K tracking; UntrackedPatterns counts requests for patterns
 	// beyond the tracked set).
@@ -395,26 +390,12 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			"too many patterns in one batch: "+strconv.Itoa(len(patterns))+" > "+strconv.Itoa(s.cfg.MaxBatchPatterns))
 		return
 	}
-	est := s.est
-	if t != nil {
-		// Pin the snapshot explicitly so the pin shows as its own stage;
-		// the unsampled path lets EstimateBatchInto pin internally and
-		// stays allocation-free.
-		est = s.est.Snapshot()
-		t.Step(trace.StagePin)
-	}
-	version, results, err := est.EstimateBatchInto(patterns, sc.results[:0])
+	version, results, err := s.est.EstimateBatchInto(patterns, sc.results[:0])
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if t != nil {
-		if mi, ok := est.MergedInfo(); ok && mi.Fresh {
-			t.Step(trace.StageMerged)
-		} else {
-			t.Step(trace.StageFanout)
-		}
-	}
+	t.Step(trace.StageEstimate)
 	for i, res := range results {
 		s.patterns.Observe(patterns[i], res.Estimate, res.Elapsed)
 		if s.monitor.Sampled() {
@@ -682,10 +663,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			durability = &ds
 		}
 	}
-	var merged *xmlest.MergedInfo
-	if mi, ok := snap.MergedInfo(); ok {
-		merged = &mi
-	}
 	var acc *accuracy.MonitorSnapshot
 	if s.monitor != nil {
 		a := s.monitor.Snapshot()
@@ -701,7 +678,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		AutoCompactions:   s.autoRounds.Load(),
 		AutoMerged:        s.autoMerges.Load(),
 		AppendedDocs:      s.appendsSeen.Load(),
-		Merged:            merged,
 		Endpoints:         s.reg.Snapshot(),
 		Patterns:          s.patterns.Snapshot(metrics.DefaultTopPatterns),
 		UntrackedPatterns: s.patterns.Untracked(),

@@ -47,7 +47,12 @@ func TestMetricsExposition(t *testing.T) {
 		`xqest_http_requests_total{endpoint="estimate"} 3`,
 		"xqest_build_info{",
 		"xqest_estimate_stage_seconds_bucket{",
-		`stage="decode"`,
+		`xqest_estimate_stage_seconds_count{stage="decode"} 3`,
+		`xqest_estimate_stage_seconds_count{stage="estimate"} 3`,
+		`xqest_estimate_stage_seconds_count{stage="encode"} 3`,
+		// Traced requests share the estimator's compiled-query cache:
+		// three sampled requests for one pattern bind it once.
+		"xqest_prepare_fanout_total 1\n",
 		"xqest_shards ",
 		"go_goroutines ",
 		"xqest_pattern_requests_total{",

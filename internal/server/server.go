@@ -613,7 +613,7 @@ func (s *Server) logFinalStats(ds *xmlest.DurabilityStats) {
 // merge, so coalesced ingest (which installs on the order of a
 // hundred shards per second) cannot outrun the once-per-tick cadence
 // and balloon the serving set — unbounded shard counts make every
-// estimate's fan-out and every fold slower. Rounds rebuild entirely
+// estimate's fan-out and every rebind slower. Rounds rebuild entirely
 // off the serving path, but they still compete for CPU with it, so
 // the drain is bounded by a time budget (a quarter of the tick
 // interval): when ingest outruns even that much merging, the set is

@@ -550,18 +550,15 @@ func TestEstimatePooledScratchStable(t *testing.T) {
 	}
 }
 
-// TestStatsReportsMergedServing: a multi-shard daemon reports the
-// merged-summary serving state in /stats, and it turns fresh once the
-// fold covers the appended shard.
-func TestStatsReportsMergedServing(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+// TestStatsReportsAppendedShard: after an append /stats reports the
+// second shard, and estimates keep answering from the two-shard set.
+func TestStatsReportsAppendedShard(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
 	resp := postJSON(t, ts.URL+"/append", map[string]any{"documents": []string{dept2}})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("append status %d", resp.StatusCode)
 	}
-	// Force the fold so the assertion is deterministic.
-	s.db.MergeSummaries()
 	r, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -571,10 +568,12 @@ func TestStatsReportsMergedServing(t *testing.T) {
 	if err := json.NewDecoder(r.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Merged == nil {
-		t.Fatal("no merged section in /stats")
+	if stats.Corpus.Shards != 2 {
+		t.Fatalf("/stats reports %d shards after one append, want 2", stats.Corpus.Shards)
 	}
-	if !stats.Merged.Enabled || !stats.Merged.Fresh || stats.Merged.CoveredShards != 2 {
-		t.Fatalf("merged stats: %+v", *stats.Merged)
+	est := postJSON(t, ts.URL+"/estimate", map[string]any{"pattern": "//department//name"})
+	est.Body.Close()
+	if est.StatusCode != http.StatusOK {
+		t.Fatalf("estimate status %d", est.StatusCode)
 	}
 }

@@ -1,16 +1,11 @@
 // Prometheus collectors for the shard layer (see internal/metrics).
 // The durable store chains the WAL's own collectors and adds the
 // checkpoint/degraded surface plus the append-pipeline histograms; the
-// plain store exports serving-set shape and merged-serving state.
+// plain store exports serving-set shape and binding counts.
 
 package shard
 
-import (
-	"strconv"
-	"time"
-
-	"xmlest/internal/metrics"
-)
+import "xmlest/internal/metrics"
 
 // Collect exports the durable layer's families: WAL watermarks (via the
 // log and committer collectors), checkpoint progress and failures, the
@@ -41,41 +36,11 @@ func (d *DurableStore) Collect(e *metrics.Expo) {
 	e.LatencySamples("xqest_commit_queue_wait_seconds", d.queueWait)
 }
 
-// Collect exports the serving-set shape and the merged-serving state:
-// shard count, set version, fold epoch and counts, fold age, per-grid
-// freshness and fan-out tail width, and PrepareSet's path decisions.
+// Collect exports the serving-set shape — shard count and set
+// version — and the number of compiled-query bindings.
 func (st *Store) Collect(e *metrics.Expo) {
 	set := st.Current()
 	e.Gauge("xqest_shards", "Shards in the serving set.", float64(set.Len()))
 	e.Gauge("xqest_set_version", "Serving-set version.", float64(set.version))
-	e.Gauge("xqest_merge_epoch", "Merged-serving epoch (fold completions and invalidations).", float64(st.MergeEpoch()))
-	e.Counter("xqest_merged_folds_total", "Completed merged-summary folds.", float64(st.foldsDone.Load()))
-	if nano := st.lastFoldNano.Load(); nano > 0 {
-		age := time.Since(time.Unix(0, nano)).Seconds()
-		e.Gauge("xqest_merged_fold_age_seconds", "Age of the newest completed fold.", age)
-	}
-
-	opts := st.activeOptions()
-	e.Family("xqest_merged_fresh", "gauge", "1 when the fold for the grid covers the serving set exactly.")
-	for _, o := range opts {
-		info := st.MergedInfo(set, o)
-		v := 0.0
-		if info.Fresh {
-			v = 1
-		}
-		e.Sample("xqest_merged_fresh", v, "grid", strconv.Itoa(o.GridSize))
-	}
-	e.Family("xqest_merged_tail_shards", "gauge", "Shards appended after the fold (served by fan-out).")
-	for _, o := range opts {
-		info := st.MergedInfo(set, o)
-		tail := set.Len() - info.CoveredShards
-		if info.CoveredShards == 0 || tail < 0 {
-			tail = set.Len()
-		}
-		e.Sample("xqest_merged_tail_shards", float64(tail), "grid", strconv.Itoa(o.GridSize))
-	}
-
-	e.Counter("xqest_prepare_merged_total", "Pattern bindings served from a merged fold.", float64(st.prepMerged.Load()))
-	e.Counter("xqest_prepare_fanout_total", "Pattern bindings served by per-shard fan-out.", float64(st.prepFanout.Load()))
-	e.Counter("xqest_prepare_mixed_fallback_total", "Fan-outs forced by a mixed-state predicate.", float64(st.prepMixed.Load()))
+	e.Counter("xqest_prepare_fanout_total", "Pattern bindings compiled against a shard set.", float64(st.prepFanout.Load()))
 }

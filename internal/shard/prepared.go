@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"fmt"
-	"runtime"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"xmlest/internal/core"
@@ -11,25 +9,34 @@ import (
 )
 
 // Prepared is a twig pattern compiled against one shard set: one
-// core.PreparedQuery per serving unit. When a merged summary covers the
-// set (see merged.go), the units are the single folded query plus one
-// query per fresh tail shard appended after the fold — O(1) shards on
-// the hot path; otherwise one query per shard that can resolve every
-// predicate of the pattern. It is immutable and safe for concurrent
-// use; its estimate is the unit sum, evaluated in fixed order so the
-// result is bit-identical for every worker count.
+// core.PreparedQuery per shard that can resolve every predicate of the
+// pattern. It is immutable and safe for concurrent use. Its estimate
+// is the sum of the per-shard values in shard order, so it is a pure
+// function of the set — bit-identical for every worker count and on
+// every node that serves the same shards. The sum is computed once per
+// binding; later estimates return it without touching the shards.
 type Prepared struct {
 	set     *Set
-	epoch   uint64
-	merged  bool // queries[0] is a folded merged-summary query
+	p       *pattern.Pattern
+	key     core.Options // summaryKey of the options the queries were built for
 	queries []*core.PreparedQuery
-	workers int
 
-	warmed atomic.Bool
+	// The first from queries are already folded into fromEst and
+	// fromNoOv: they are carried over from an evaluated binding to an
+	// earlier set of which this set is an extension. The fold resumes
+	// after them in shard order, so it gives the same bits as folding
+	// from zero.
+	from     int
+	fromEst  float64
+	fromNoOv bool
+
+	once sync.Once
+	est  float64
+	noOv bool
+	err  error
 }
 
-// Prepare compiles the pattern against every shard summary for opts —
-// the pure fan-out form, used directly for store-less (loaded) sets.
+// Prepare compiles the pattern against every shard summary for opts.
 // Shards lacking one of the pattern's predicates are skipped (they
 // contribute zero); a predicate unknown to every shard is an error.
 func (s *Set) Prepare(p *pattern.Pattern, opts core.Options) (*Prepared, error) {
@@ -41,168 +48,116 @@ func (s *Set) Prepare(p *pattern.Pattern, opts core.Options) (*Prepared, error) 
 	if err := checkResolvable(sums, names); err != nil {
 		return nil, err
 	}
-	pr := &Prepared{set: s, workers: estimateWorkers(opts)}
-	pr.queries = make([]*core.PreparedQuery, 0, len(sums))
+	pr := &Prepared{set: s, p: p, key: summaryKey(opts), queries: make([]*core.PreparedQuery, 0, len(sums))}
+	return pr, pr.add(sums, names)
+}
+
+// add appends a query for every summary that resolves all names.
+func (pr *Prepared) add(sums []*core.Estimator, names []string) error {
 	for _, est := range sums {
 		if !hasAll(est, names) {
 			continue
 		}
-		q, err := est.PrepareShared(p)
+		q, err := est.PrepareShared(pr.p)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		pr.queries = append(pr.queries, q)
 	}
-	return pr, nil
+	return nil
 }
 
-// PrepareSet compiles the pattern against set, serving the covered
-// prefix from the store's merged summary when one applies: the merged
-// fold is exact with respect to the per-shard sum (block-diagonal
-// histograms on the concatenated grid; see core.MergeSummaries), so the
-// merged and fan-out bindings agree to float-accumulation order.
-// Queries touching a predicate with mixed per-shard no-overlap state,
-// options that disable merged serving, and sets without an applicable
-// fold all fall back to pure fan-out.
+// PrepareSet is Set.Prepare for a set of this store, counted in
+// xqest_prepare_fanout_total so a scrape shows how often compiled
+// queries rebind.
 func (st *Store) PrepareSet(set *Set, p *pattern.Pattern, opts core.Options) (*Prepared, error) {
-	// Read the epoch before the view: if a fold completes in between,
-	// the binding self-invalidates on its next use instead of serving a
-	// stale plan forever.
-	epoch := st.MergeEpoch()
-	view := st.mergedFor(set, opts)
-	if view == nil || opts.DisableMergedServing || set.Len() <= 1 {
-		st.prepFanout.Add(1)
-		pr, err := set.Prepare(p, opts)
-		if err != nil {
-			return nil, err
-		}
-		pr.epoch = epoch
-		return pr, nil
-	}
-	names := patternNames(p)
-	for _, name := range names {
-		if view.mixed[name] {
-			// The folded estimator cannot reproduce the per-shard
-			// algorithm mix for this predicate; fan out.
-			st.prepMixed.Add(1)
-			pr, err := set.Prepare(p, opts)
-			if err != nil {
-				return nil, err
-			}
-			pr.epoch = epoch
-			return pr, nil
-		}
-	}
-	st.prepMerged.Add(1)
+	return st.Rebind(nil, set, p, opts)
+}
 
-	// Fresh tail: shards appended after the fold.
-	var tail []*core.Estimator
-	for _, sh := range set.shards {
-		if _, ok := view.covered[sh.id]; ok {
-			continue
-		}
+// Rebind is PrepareSet given prev, the pattern's binding to an earlier
+// set of this store (nil if none). When set keeps prev's shards as its
+// prefix — every append does — the new binding reuses prev's queries
+// and its evaluated sum and compiles only the appended shards, so a
+// rebind costs the new shards, not the whole set. Any other change
+// (compaction, drop, replication install) compiles the set afresh.
+// Both ways the estimate is the same shard-order sum, bit for bit.
+func (st *Store) Rebind(prev *Prepared, set *Set, p *pattern.Pattern, opts core.Options) (*Prepared, error) {
+	st.prepFanout.Add(1)
+	key := summaryKey(opts)
+	if prev == nil || prev.p != p || prev.key != key || !set.extends(prev.set) {
+		return set.Prepare(p, opts)
+	}
+	prev.once.Do(prev.eval)
+	if prev.err != nil {
+		return set.Prepare(p, opts)
+	}
+	tail := set.shards[len(prev.set.shards):]
+	sums := make([]*core.Estimator, len(tail))
+	for i, sh := range tail {
 		est, err := sh.Summary(opts)
 		if err != nil {
 			return nil, err
 		}
-		tail = append(tail, est)
+		sums[i] = est
 	}
-	for _, name := range names {
-		if view.est.HasPredicate(name) {
-			continue
-		}
-		found := false
-		for _, est := range tail {
-			if est.HasPredicate(name) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("shard: no histogram for predicate %q in any shard", name)
-		}
+	pr := &Prepared{
+		set: set, p: p, key: key,
+		queries: make([]*core.PreparedQuery, len(prev.queries), len(prev.queries)+len(tail)),
+		from:    len(prev.queries), fromEst: prev.est, fromNoOv: prev.noOv,
 	}
-
-	pr := &Prepared{set: set, epoch: epoch, workers: estimateWorkers(opts)}
-	pr.queries = make([]*core.PreparedQuery, 0, len(tail)+1)
-	if hasAll(view.est, names) {
-		// A name absent from every covered shard makes the whole prefix
-		// contribute zero, exactly like fan-out skipping those shards —
-		// in that case the merged query is omitted entirely.
-		q, err := view.est.PrepareShared(p)
-		if err != nil {
-			return nil, err
-		}
-		pr.queries = append(pr.queries, q)
-		pr.merged = true
-	}
-	for _, est := range tail {
-		if !hasAll(est, names) {
-			continue
-		}
-		q, err := est.PrepareShared(p)
-		if err != nil {
-			return nil, err
-		}
-		pr.queries = append(pr.queries, q)
-	}
-	return pr, nil
+	copy(pr.queries, prev.queries)
+	return pr, pr.add(sums, patternNames(p))
 }
 
-// estimateWorkers resolves Options.EstimateWorkers (0 = GOMAXPROCS).
-func estimateWorkers(opts core.Options) int {
-	if opts.EstimateWorkers > 0 {
-		return opts.EstimateWorkers
+// extends reports whether s holds every shard of prev, in prev's order,
+// as its prefix.
+func (s *Set) extends(prev *Set) bool {
+	if prev == nil || len(s.shards) < len(prev.shards) {
+		return false
 	}
-	return runtime.GOMAXPROCS(0)
+	for i, sh := range prev.shards {
+		if s.shards[i] != sh {
+			return false
+		}
+	}
+	return true
 }
 
 // Set returns the shard set the query was prepared against, so callers
 // can detect staleness and rebind.
 func (pr *Prepared) Set() *Set { return pr.set }
 
-// Epoch returns the merged-serving epoch the binding was built at;
-// callers rebind when the store's epoch moves so a completed background
-// fold is adopted without waiting for a set swap.
-func (pr *Prepared) Epoch() uint64 { return pr.epoch }
-
-// Merged reports whether the binding serves its covered prefix from a
-// folded merged summary.
-func (pr *Prepared) Merged() bool { return pr.merged }
-
-// Units returns the number of compiled per-unit queries the estimate
-// sums (1 for a fully merged binding).
-func (pr *Prepared) Units() int { return len(pr.queries) }
-
-// Estimate sums the per-unit estimates of the compiled twig. The first
-// call on a multi-unit binding folds the units across a bounded worker
-// pool (Options.EstimateWorkers) — the expensive part of a cold bind —
-// then every call sums the cached per-unit values in fixed unit order,
-// so the result is bit-identical for every worker count.
+// Estimate returns the sum of the per-shard estimates of the compiled
+// twig. The first call evaluates the binding (see eval); every later
+// call returns the same sum.
 func (pr *Prepared) Estimate() (core.Result, error) {
 	start := time.Now()
-	if !pr.warmed.Load() {
-		pr.warm()
+	pr.once.Do(pr.eval)
+	if pr.err != nil {
+		return core.Result{}, pr.err
 	}
-	out := core.Result{}
-	for _, q := range pr.queries {
-		est, noOv, err := q.Value()
-		if err != nil {
-			return core.Result{}, err
-		}
-		out.Estimate += est
-		out.UsedNoOverlap = out.UsedNoOverlap || noOv
-	}
-	out.Elapsed = time.Since(start)
-	return out, nil
+	return core.Result{Estimate: pr.est, UsedNoOverlap: pr.noOv, Elapsed: time.Since(start)}, nil
 }
 
-// warm folds every unit once, in parallel across the worker pool when
-// that can pay for the goroutine overhead. Errors are ignored here and
-// re-surfaced deterministically by the serial Value pass.
-func (pr *Prepared) warm() {
-	forEachParallel(len(pr.queries), pr.workers, func(i int) {
-		_, _, _ = pr.queries[i].Value()
+// eval evaluates the queries not carried over from an earlier binding,
+// in parallel across a GOMAXPROCS worker pool when that can pay for the
+// goroutine overhead — the expensive part of a cold bind — and then
+// folds their values in shard order. Errors are ignored by the parallel
+// pass and surface deterministically from the serial fold.
+func (pr *Prepared) eval() {
+	fresh := pr.queries[pr.from:]
+	forEachParallel(len(fresh), func(i int) {
+		_, _, _ = fresh[i].Value()
 	})
-	pr.warmed.Store(true)
+	est, noOv := pr.fromEst, pr.fromNoOv
+	for _, q := range fresh {
+		v, n, err := q.Value()
+		if err != nil {
+			pr.err = err
+			return
+		}
+		est += v
+		noOv = noOv || n
+	}
+	pr.est, pr.noOv = est, noOv
 }

@@ -23,6 +23,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,15 +104,12 @@ func (s *Shard) SummaryOnly() bool { return s.tree == nil }
 
 // summaryKey normalizes options into a summary cache key: fields that
 // cannot change the built summary (BuildWorkers — the parallel build is
-// deterministic — QueryCacheSize, a facade-side cache bound,
-// EstimateWorkers — per-shard sums are order-fixed — and
-// DisableMergedServing, a read-path routing knob) are zeroed, so
-// semantically identical estimators share one build per shard.
+// deterministic — and QueryCacheSize, a facade-side cache bound) are
+// zeroed, so semantically identical estimators share one build per
+// shard.
 func summaryKey(opts core.Options) core.Options {
 	opts.BuildWorkers = 0
 	opts.QueryCacheSize = 0
-	opts.EstimateWorkers = 0
-	opts.DisableMergedServing = false
 	return opts
 }
 
@@ -244,9 +242,9 @@ func (s *Set) invalidateSummariesMemo() {
 // of per-shard estimates — exact composition, since no match spans two
 // documents. A shard lacking one of the pattern's predicates
 // contributes zero; a predicate unknown to every shard is an error.
-// Per-shard estimation fans out across a bounded worker pool
-// (Options.EstimateWorkers) on wide sets; the sum always runs in shard
-// order, so results are bit-identical for every worker count.
+// Per-shard estimation fans out across a GOMAXPROCS worker pool on
+// wide sets; the sum always runs in shard order, so results are
+// bit-identical for every worker count.
 func (s *Set) EstimateTwig(p *pattern.Pattern, opts core.Options) (core.Result, error) {
 	start := time.Now()
 	sums, err := s.summaries(opts)
@@ -257,7 +255,7 @@ func (s *Set) EstimateTwig(p *pattern.Pattern, opts core.Options) (core.Result, 
 	if err := checkResolvable(sums, names); err != nil {
 		return core.Result{}, err
 	}
-	out, err := sumFanOut(sums, names, estimateWorkers(opts), func(est *core.Estimator) (core.Result, error) {
+	out, err := sumFanOut(sums, names, func(est *core.Estimator) (core.Result, error) {
 		return est.EstimateTwig(p)
 	})
 	if err != nil {
@@ -279,7 +277,7 @@ func (s *Set) EstimatePairPrimitive(ancName, descName string, opts core.Options)
 	if err := checkResolvable(sums, names); err != nil {
 		return core.Result{}, err
 	}
-	out, err := sumFanOut(sums, names, estimateWorkers(opts), func(est *core.Estimator) (core.Result, error) {
+	out, err := sumFanOut(sums, names, func(est *core.Estimator) (core.Result, error) {
 		return est.EstimatePairPrimitive(ancName, descName)
 	})
 	if err != nil {
@@ -290,10 +288,10 @@ func (s *Set) EstimatePairPrimitive(ancName, descName string, opts core.Options)
 }
 
 // sumFanOut runs fn over every summary that resolves all names and
-// sums the results in summary order. With workers > 1 and enough
-// participating summaries, evaluation fans out across a bounded pool;
-// the ordered sum keeps the total bit-identical either way.
-func sumFanOut(sums []*core.Estimator, names []string, workers int, fn func(*core.Estimator) (core.Result, error)) (core.Result, error) {
+// sums the results in summary order. With enough participating
+// summaries, evaluation fans out across a GOMAXPROCS pool; the ordered
+// sum keeps the total bit-identical either way.
+func sumFanOut(sums []*core.Estimator, names []string, fn func(*core.Estimator) (core.Result, error)) (core.Result, error) {
 	able := make([]*core.Estimator, 0, len(sums))
 	for _, est := range sums {
 		if hasAll(est, names) {
@@ -302,7 +300,7 @@ func sumFanOut(sums []*core.Estimator, names []string, workers int, fn func(*cor
 	}
 	results := make([]core.Result, len(able))
 	errs := make([]error, len(able))
-	forEachParallel(len(able), workers, func(i int) {
+	forEachParallel(len(able), func(i int) {
 		results[i], errs[i] = fn(able[i])
 	})
 	out := core.Result{}
@@ -316,13 +314,14 @@ func sumFanOut(sums []*core.Estimator, names []string, workers int, fn func(*cor
 	return out, nil
 }
 
-// forEachParallel runs fn(0..n-1) across a bounded worker pool, or
+// forEachParallel runs fn(0..n-1) across a GOMAXPROCS worker pool, or
 // serially when the pool cannot pay for its goroutine overhead (few
 // items or a single worker). Callers own any ordering concerns: fn
 // writes into indexed slots and reductions run afterwards in index
 // order, so results never depend on the worker count.
-func forEachParallel(n, workers int, fn func(i int)) {
+func forEachParallel(n int, fn func(i int)) {
 	const minParallel = 4
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}

@@ -33,28 +33,9 @@ type Store struct {
 	cur     atomic.Pointer[Set]
 	nextID  atomic.Uint64
 
-	// Merged-summary serving state (see merged.go): the latest fold per
-	// normalized option set, the coalescing worker state, and the epoch
-	// compiled queries watch to adopt new folds.
-	mergedMu   sync.Mutex
-	merged     map[core.Options]*mergedView
-	mergeState atomic.Int32
-	mergeEpoch atomic.Uint64
-	// foldMu serializes fold passes with each other and with the
-	// setup-time predicate-registration methods, which rebuild shard
-	// catalogs in place underneath any running fold.
-	foldMu sync.Mutex
-
-	// Observability counters (exported by Collect, see collect.go):
-	// completed folds and the wall time of the newest one, plus
-	// PrepareSet's serving-path decisions — merged-prefix bindings,
-	// plain fan-out bindings, and fan-outs forced by a mixed-state
-	// predicate the fold cannot reproduce.
-	foldsDone    atomic.Uint64
-	lastFoldNano atomic.Int64
-	prepMerged   atomic.Uint64
-	prepFanout   atomic.Uint64
-	prepMixed    atomic.Uint64
+	// prepFanout counts PrepareSet bindings (exported by Collect, see
+	// collect.go).
+	prepFanout atomic.Uint64
 }
 
 // NewStore returns a store with an empty shard set and the given
@@ -95,10 +76,6 @@ func (st *Store) EnsureSummaries(opts core.Options) (*Set, error) {
 	if _, err := set.summaries(opts); err != nil {
 		return nil, err
 	}
-	// Fold a merged view for the newly active options in the
-	// background, so multi-shard stores serve O(1)-shard estimates from
-	// the first possible moment.
-	st.scheduleMerge()
 	return set, nil
 }
 
@@ -131,13 +108,10 @@ func (st *Store) newShard(tree *xmltree.Tree, cat *predicate.Catalog) (*Shard, e
 	return sh, nil
 }
 
-// install publishes next as the serving set and schedules a background
-// fold of the merged serving view (see merged.go) — every mutation
-// flows through here, so the merged view chases the serving set with
-// at most one fold of lag.
+// install publishes next as the serving set at the version after
+// prev's.
 func (st *Store) install(next []*Shard, prev *Set) {
 	st.cur.Store(&Set{version: prev.version + 1, shards: next})
-	st.scheduleMerge()
 }
 
 // appendLocked installs sh at the end of the serving set, stamping its
@@ -156,10 +130,10 @@ func (st *Store) appendLocked(sh *Shard) {
 // appendGroupLocked installs a group of shards at consecutive versions
 // in ONE copy-on-write swap: shard i's visibility watermark is
 // prev.version+i+1 and the new set's version is prev.version+n. Group
-// commit lands n batches with one slice copy and one merge scheduling
-// instead of n of each; the intermediate versions are never served,
-// which is fine — a client acked at version prev+i+1 waits for any
-// serving version >= that, and the set at prev+n contains its batch.
+// commit lands n batches with one slice copy instead of n; the
+// intermediate versions are never served, which is fine — a client
+// acked at version prev+i+1 waits for any serving version >= that, and
+// the set at prev+n contains its batch.
 // The caller must hold writeMu.
 func (st *Store) appendGroupLocked(shs []*Shard) {
 	prev := st.Current()
@@ -170,7 +144,6 @@ func (st *Store) appendGroupLocked(shs []*Shard) {
 		next = append(next, sh)
 	}
 	st.cur.Store(&Set{version: prev.version + uint64(len(shs)), shards: next})
-	st.scheduleMerge()
 }
 
 // replaceLocked publishes shards as the whole serving set at an
@@ -179,7 +152,6 @@ func (st *Store) appendGroupLocked(shs []*Shard) {
 // must hold writeMu and must have stamped each shard's installedAt.
 func (st *Store) replaceLocked(shards []*Shard, version uint64) {
 	st.cur.Store(&Set{version: version, shards: shards})
-	st.scheduleMerge()
 }
 
 // setMinVersion raises the serving set's version to at least v without
@@ -271,10 +243,6 @@ func (st *Store) Drop(id uint64) bool {
 // tree-backed shard (the facade's historical return value). Setup-time
 // only: must not run concurrently with estimation or store mutations.
 func (st *Store) AddAllTagPredicates() int {
-	// Hold the fold lock across the in-place catalog rebuilds: a
-	// background merged-view fold reads those catalogs.
-	st.foldMu.Lock()
-	defer st.foldMu.Unlock()
 	st.specMu.Lock()
 	st.spec.AllTags = true
 	st.specMu.Unlock()
@@ -290,11 +258,8 @@ func (st *Store) AddAllTagPredicates() int {
 			n, first = added, false
 		}
 	}
-	// The folds and any memoized summary slices were built from the old
-	// catalogs; drop them and refold.
+	// Any memoized summary slice was built from the old catalogs.
 	st.Current().invalidateSummariesMemo()
-	st.invalidateMerged()
-	st.scheduleMerge()
 	return n
 }
 
@@ -302,8 +267,6 @@ func (st *Store) AddAllTagPredicates() int {
 // shared scan per shard) and records them for future shards.
 // Setup-time only, like AddAllTagPredicates.
 func (st *Store) AddPredicates(preds ...predicate.Predicate) {
-	st.foldMu.Lock()
-	defer st.foldMu.Unlock()
 	st.specMu.Lock()
 	st.spec = st.spec.Add(preds...)
 	st.specMu.Unlock()
@@ -315,6 +278,4 @@ func (st *Store) AddPredicates(preds ...predicate.Predicate) {
 		sh.invalidateSummaries()
 	}
 	st.Current().invalidateSummariesMemo()
-	st.invalidateMerged()
-	st.scheduleMerge()
 }

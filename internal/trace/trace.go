@@ -36,9 +36,7 @@ type Stage uint8
 const (
 	// Estimate path.
 	StageDecode   Stage = iota // JSON request decode
-	StagePin                   // snapshot pin (estimator binding)
-	StageMerged                // batch estimate served by a fresh merged fold
-	StageFanout                // batch estimate served by per-shard fan-out
+	StageEstimate              // batch estimate: snapshot pin, binding and per-shard sum
 	StageEncode                // JSON response encode
 
 	// Append path.
@@ -54,7 +52,7 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	"decode", "snapshot_pin", "estimate_merged", "estimate_fanout", "encode",
+	"decode", "estimate", "encode",
 	"queue_wait", "coalesce_wait", "parse", "build", "wal_submit", "fsync_wait", "install",
 }
 
@@ -67,7 +65,7 @@ func (s Stage) String() string {
 }
 
 // EstimateStages is the estimate path's stage subset.
-var EstimateStages = []Stage{StageDecode, StagePin, StageMerged, StageFanout, StageEncode}
+var EstimateStages = []Stage{StageDecode, StageEstimate, StageEncode}
 
 // AppendStages is the append pipeline's stage subset.
 var AppendStages = []Stage{StageQueueWait, StageCoalesceWait, StageParse, StageBuild,
@@ -171,7 +169,7 @@ func (t *Trace) add(s Stage, d time.Duration) {
 	}
 }
 
-// breakdown renders "decode=12µs estimate_merged=3.1ms encode=8µs".
+// breakdown renders "decode=12µs estimate=3.1ms encode=8µs".
 func (t *Trace) breakdown() string {
 	if t == nil || t.n == 0 {
 		return ""

@@ -297,8 +297,10 @@ func TestPropertyIntervalInvariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
+	// A fixed seed keeps the check replayable; the failure names it.
+	const quickSeed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(quickSeed))}); err != nil {
+		t.Errorf("quick.Check (seed %d): %v", quickSeed, err)
 	}
 }
 

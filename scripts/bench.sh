@@ -2,8 +2,7 @@
 # Runs the tracked performance benchmarks and records them into
 # BENCH_PR7.json: the PR 1/2 microbenchmark series (ns/op, now with
 # allocs/op from -benchmem), the PR 3 serving series (xqbench driving
-# an in-memory xqestd daemon — by default on the PR 5 merged-snapshot
-# path, plus a -no-merged fan-out run for comparison), and the PR 4/7
+# an in-memory xqestd daemon), and the
 # durable serving series — the same load against a daemon with a data
 # directory at each WAL fsync policy (always / interval / off). The
 # durable runs use many concurrent appenders so the PR 7 group-commit
@@ -78,7 +77,7 @@ serve_run() {
 }
 
 if [[ -z "${SKIP_SERVING:-}" ]]; then
-  echo "== serving benchmark: xqbench against xqestd on $addr (merged-snapshot path) =="
+  echo "== serving benchmark: xqbench against xqestd on $addr =="
   go build -o "$workdir/xqestd" ./cmd/xqestd
   go build -o "$workdir/xqbench" ./cmd/xqbench
   serve_run "$workdir/serving.json" 2
@@ -86,8 +85,6 @@ if [[ -z "${SKIP_SERVING:-}" ]]; then
   serve_run "$workdir/serving-notrace.json" 2 -trace-sample 0 -slow-request 0
   echo "== serving benchmark: shadow sampling disabled (-shadow-sample 0) =="
   serve_run "$workdir/serving-noshadow.json" 2 -shadow-sample 0
-  echo "== serving benchmark: fan-out path (-no-merged) =="
-  serve_run "$workdir/serving-fanout.json" 2 -no-merged
   for fsync in always interval off; do
     echo "== durable serving benchmark: -fsync $fsync ($appenders appenders) =="
     rm -rf "$workdir/data-$fsync"
@@ -117,7 +114,6 @@ else
   printf 'null\n' > "$workdir/serving.json"
   printf 'null\n' > "$workdir/serving-notrace.json"
   printf 'null\n' > "$workdir/serving-noshadow.json"
-  printf 'null\n' > "$workdir/serving-fanout.json"
   for fsync in always interval off; do
     printf 'null\n' > "$workdir/durable-$fsync.json"
   done
@@ -174,8 +170,6 @@ go build -o "$workdir/xqest" ./cmd/xqest
   cat "$workdir/serving-notrace.json"
   printf ",\n  \"serving_noshadow\": "
   cat "$workdir/serving-noshadow.json"
-  printf ",\n  \"serving_fanout\": "
-  cat "$workdir/serving-fanout.json"
   printf ",\n  \"serving_replicated\": "
   cat "$workdir/serving-replicated.json"
   printf ",\n  \"durable_serving\": {\n"

@@ -88,23 +88,12 @@ func runShardEquivalence(t *testing.T, docs []*xmltree.Tree, splits map[string][
 				}
 			}
 			db.AddAllTagPredicates()
-			// Both serving paths are pinned to the reference: the default
-			// merged-summary path (the store's fold is forced synchronously
-			// and must be fresh) and the per-shard fan-out it falls back to.
 			est, err := db.NewEstimator(xmlest.Options{GridSize: g})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fanout, err := db.NewEstimator(xmlest.Options{GridSize: g, DisableMergedServing: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if est.ShardCount() != len(split) {
 				t.Fatalf("ShardCount = %d, want %d", est.ShardCount(), len(split))
-			}
-			db.MergeSummaries()
-			if info, ok := est.MergedInfo(); !ok || (!info.Fresh && len(split) > 1) {
-				t.Fatalf("merged view not fresh after MergeSummaries: %+v", info)
 			}
 
 			ref, err := core.NewEstimatorWithGrid(monoCat, alignedGrid(t, shardTrees, g), core.Options{GridSize: g})
@@ -117,17 +106,11 @@ func runShardEquivalence(t *testing.T, docs []*xmltree.Tree, splits map[string][
 				if err != nil {
 					t.Fatalf("sharded %s: %v", q, err)
 				}
-				fo, err := fanout.Estimate(q)
-				if err != nil {
-					t.Fatalf("fan-out %s: %v", q, err)
-				}
 				want, err := ref.EstimateTwig(pattern.MustParse(q))
 				if err != nil {
 					t.Fatalf("monolithic %s: %v", q, err)
 				}
-				relClose(t, fmt.Sprintf("%s shards=%d merged", q, len(split)), got.Estimate, want.Estimate)
-				relClose(t, fmt.Sprintf("%s shards=%d fanout", q, len(split)), fo.Estimate, want.Estimate)
-				relClose(t, fmt.Sprintf("%s shards=%d merged-vs-fanout", q, len(split)), got.Estimate, fo.Estimate)
+				relClose(t, fmt.Sprintf("%s shards=%d", q, len(split)), got.Estimate, want.Estimate)
 				if want.Estimate <= 0 {
 					t.Errorf("%s: degenerate reference estimate %v", q, want.Estimate)
 				}

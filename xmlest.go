@@ -689,10 +689,8 @@ func (e *Estimator) EstimateBatch(patterns []string) (BatchResult, error) {
 // EstimateBatchInto is EstimateBatch reusing the caller's result slice
 // (appending from dst[:0]; pass nil to allocate), the allocation-free
 // form the daemon's pooled request scratch uses. Every pattern binds to
-// the same pinned snapshot and merged-serving epoch, so the whole batch
-// shares one bound plan per pattern and the results are mutually
-// consistent; repeated batches of hot patterns do no per-call
-// allocation at all.
+// the same pinned snapshot, so the results are mutually consistent;
+// repeated batches of hot patterns do no per-call allocation at all.
 func (e *Estimator) EstimateBatchInto(patterns []string, dst []Result) (version uint64, results []Result, err error) {
 	set := e.set()
 	results = dst[:0]
@@ -746,29 +744,10 @@ func (e *Estimator) ShadowCount(patternSrc string, deadline time.Time) (float64,
 // pinned) set.
 func (e *Estimator) Stats() DatabaseStats { return statsOf(e.set()) }
 
-// MergedInfo describes the merged-serving state of a shard store: the
-// store background-folds every live shard summary into one frozen
-// monolithic view (exact with respect to the fan-out sum; see
-// shard.Store and DESIGN.md "Execution engine"), so hot estimates on a
-// fresh fold cost O(1) shards.
-type MergedInfo = shard.MergedInfo
-
-// MergedInfo reports merged-serving state for the estimator's serving
-// (or pinned) set; ok is false for estimators loaded from a summary
-// blob, which have no store to fold.
-func (e *Estimator) MergedInfo() (info MergedInfo, ok bool) {
-	if e.store == nil {
-		return MergedInfo{}, false
-	}
-	return e.store.MergedInfo(e.set(), e.opts), true
-}
-
-// MergeSummaries folds the current shard set into the merged serving
-// view synchronously, for every option set in active use. The fold
-// normally chases mutations in the background; the synchronous form
-// gives tests, benchmarks and batch tools a deterministic way to reach
-// the O(1)-shard serving state.
-func (db *Database) MergeSummaries() { db.store.MergeNow() }
+// MergeSummaries does nothing. Estimates are always the per-shard sum
+// (see DESIGN.md, "Serving plan"), so there is no merged view to fold;
+// the method is kept for API compatibility.
+func (db *Database) MergeSummaries() {}
 
 // Shards lists the shards of the serving (or pinned) set.
 func (e *Estimator) Shards() []ShardInfo {
@@ -812,19 +791,19 @@ type PreparedQuery struct {
 // Source returns the pattern source the query was compiled from.
 func (pq *PreparedQuery) Source() string { return pq.src }
 
-// bindingFor returns the prepared per-unit queries for the given set,
-// rebinding if the cached binding belongs to another set or if the
-// store's merged-serving epoch moved (a background fold completed, so
-// a fresher O(1)-shard plan is available without any set swap).
+// bindingFor returns the prepared per-shard queries for the given set,
+// rebinding if the cached binding belongs to another set (from the
+// cached binding, so an append costs only the appended shards).
 func (pq *PreparedQuery) bindingFor(set *shard.Set) (*shard.Prepared, error) {
-	st := pq.est.store
-	if b := pq.binding.Load(); b != nil && b.Set() == set && (st == nil || b.Epoch() == st.MergeEpoch()) {
-		return b, nil
+	prev := pq.binding.Load()
+	if prev != nil && prev.Set() == set {
+		return prev, nil
 	}
+	st := pq.est.store
 	var b *shard.Prepared
 	var err error
 	if st != nil {
-		b, err = st.PrepareSet(set, pq.p, pq.est.opts)
+		b, err = st.Rebind(prev, set, pq.p, pq.est.opts)
 	} else {
 		b, err = set.Prepare(pq.p, pq.est.opts)
 	}
