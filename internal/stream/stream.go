@@ -6,13 +6,18 @@
 //
 // Grid construction needs the maximum position label before counts can
 // be bucketed, so building is two passes over the input: pass one
-// counts elements (two labels per element), pass two assigns labels
-// with the same deterministic numbering as xmltree and feeds each
-// histogram builder. Callers supply an openable source so the stream
-// can be read twice.
+// counts nodes (two labels per element or attribute), pass two assigns
+// labels with the same deterministic numbering as xmltree and feeds
+// each histogram builder. Callers supply an openable source so the
+// stream can be read twice.
+//
+// Unlike xmltree, which reads each document into memory and scans its
+// bytes, this package keeps encoding/xml's streaming Decoder: its
+// memory must stay bounded by document depth, whatever the input size.
 package stream
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -82,13 +87,14 @@ type Result struct {
 	Hists map[string]*histogram.Position
 	// Grid is the shared grid.
 	Grid histogram.Grid
-	// Nodes is the element count (excluding the dummy root).
+	// Nodes is the node count: elements and attributes, excluding the
+	// dummy root (xmltree.Tree.NumNodes of the same document).
 	Nodes int
-	// MaxDepth is the deepest element seen.
+	// MaxDepth is the depth of the deepest node seen.
 	MaxDepth int
 	// MayOverlap maps predicate names to whether two satisfying nodes
 	// were seen in an ancestor-descendant relationship (Definition 2
-	// fails). Detected during the streaming pass: elements are emitted
+	// fails). Detected during the streaming pass: nodes are emitted
 	// in end-label order, so a satisfying node contains an earlier-
 	// emitted satisfying node exactly when its start label precedes the
 	// largest start label emitted so far for the predicate.
@@ -100,21 +106,21 @@ type Result struct {
 // grid. Memory use is O(depth + g² per predicate); the document tree is
 // never materialized.
 func Build(src Source, gridSize int, preds []EventPredicate) (*Result, error) {
-	// Pass 1: count elements to fix the position space.
-	elements, _, err := countElements(src, false)
+	// Pass 1: count nodes to fix the position space.
+	nodes, _, err := countNodes(src, false)
 	if err != nil {
 		return nil, err
 	}
-	return buildCounted(src, gridSize, preds, elements)
+	return buildCounted(src, gridSize, preds, nodes)
 }
 
 // BuildAllTags scans the source twice and returns one histogram per
-// distinct element tag plus TRUE — the streaming analogue of the
-// all-tags predicate vocabulary (predicate.Spec.AllTags). The tag set
-// is discovered during pass one alongside the element count, so the
-// input is still read exactly twice.
+// distinct tag (attribute tags "@name" included) plus TRUE — the
+// streaming analogue of the all-tags predicate vocabulary
+// (predicate.Spec.AllTags). The tag set is discovered during pass one
+// alongside the node count, so the input is still read exactly twice.
 func BuildAllTags(src Source, gridSize int) (*Result, error) {
-	elements, tags, err := countElements(src, true)
+	nodes, tags, err := countNodes(src, true)
 	if err != nil {
 		return nil, err
 	}
@@ -122,20 +128,20 @@ func BuildAllTags(src Source, gridSize int) (*Result, error) {
 	for i, tag := range tags {
 		preds[i] = TagPred{Tag: tag}
 	}
-	return buildCounted(src, gridSize, preds, elements)
+	return buildCounted(src, gridSize, preds, nodes)
 }
 
-// buildCounted is pass two plus setup, with the element count already
+// buildCounted is pass two plus setup, with the node count already
 // known.
-func buildCounted(src Source, gridSize int, preds []EventPredicate, elements int) (*Result, error) {
+func buildCounted(src Source, gridSize int, preds []EventPredicate, nodes int) (*Result, error) {
 	for _, p := range preds {
 		if p.Name() == "TRUE" {
 			return nil, fmt.Errorf("stream: the TRUE histogram is built automatically")
 		}
 	}
 	// Positions mirror xmltree.Builder: dummy root takes label 0 and
-	// the final label, each element takes two labels.
-	maxPos := 2*elements + 2
+	// the final label, each element or attribute takes two labels.
+	maxPos := 2*nodes + 2
 	grid, err := histogram.NewUniformGrid(gridSize, maxPos)
 	if err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
@@ -155,7 +161,7 @@ func buildCounted(src Source, gridSize int, preds []EventPredicate, elements int
 		res.Hists[p.Name()] = histogram.NewPosition(grid)
 	}
 
-	// Pass 2: number elements and feed the histograms. maxStart tracks,
+	// Pass 2: number nodes and feed the histograms. maxStart tracks,
 	// per predicate, the largest start label among emitted matches: a
 	// later-emitted match starting before it must contain one of them
 	// (intervals in a tree never partially overlap), which is exactly
@@ -188,10 +194,10 @@ func buildCounted(src Source, gridSize int, preds []EventPredicate, elements int
 	return res, nil
 }
 
-// countElements is pass one: the element count, plus — when collectTags
-// is set — the distinct element tags in sorted order (the all-tags
-// vocabulary discovery).
-func countElements(src Source, collectTags bool) (int, []string, error) {
+// countNodes is pass one: the node count (elements and kept
+// attributes), plus — when collectTags is set — the distinct tags in
+// sorted order (the all-tags vocabulary discovery).
+func countNodes(src Source, collectTags bool) (int, []string, error) {
 	r, err := src()
 	if err != nil {
 		return 0, nil, err
@@ -211,10 +217,20 @@ func countElements(src Source, collectTags bool) (int, []string, error) {
 		if err != nil {
 			return 0, nil, fmt.Errorf("stream: pass 1: %w", err)
 		}
-		if el, ok := tok.(xml.StartElement); ok {
-			n++
-			if collectTags {
-				seen[el.Name.Local] = struct{}{}
+		el, ok := tok.(xml.StartElement)
+		if !ok {
+			continue
+		}
+		n++
+		if collectTags {
+			seen[el.Name.Local] = struct{}{}
+		}
+		for _, a := range el.Attr {
+			if keepAttr(a) {
+				n++
+				if collectTags {
+					seen["@"+a.Name.Local] = struct{}{}
+				}
 			}
 		}
 	}
@@ -229,9 +245,19 @@ func countElements(src Source, collectTags bool) (int, []string, error) {
 	return n, tags, nil
 }
 
+// keepAttr is xmltree's rule for attributes: each becomes an "@name"
+// node, except namespace declarations (and attributes whose prefix the
+// decoder translated to the "xmlns" URI).
+func keepAttr(a xml.Attr) bool {
+	return a.Name.Space != "xmlns" && a.Name.Local != "xmlns"
+}
+
 // scan is pass two: it assigns (start, end) labels with one shared
-// counter (the xmltree numbering) and emits one event per element at
-// its close, when its text is complete. Memory is bounded by depth.
+// counter and emits one event per node at its close, when its text is
+// complete — exactly the nodes, labels and text xmltree.Parse gives:
+// attributes are "@name" nodes numbered right after their element's
+// start, and each text run is trimmed on its own before the runs are
+// joined. Memory is bounded by depth.
 func scan(src Source, emit func(*Event)) error {
 	r, err := src()
 	if err != nil {
@@ -259,6 +285,13 @@ func scan(src Source, emit func(*Event)) error {
 		case xml.StartElement:
 			stack = append(stack, &open{tag: el.Name.Local, start: counter})
 			counter++
+			for _, a := range el.Attr {
+				if !keepAttr(a) {
+					continue
+				}
+				emit(&Event{Tag: "@" + a.Name.Local, Text: a.Value, Start: counter, End: counter + 1, Depth: len(stack) + 1})
+				counter += 2
+			}
 		case xml.EndElement:
 			if len(stack) == 0 {
 				return fmt.Errorf("stream: unbalanced end element </%s>", el.Name.Local)
@@ -267,7 +300,7 @@ func scan(src Source, emit func(*Event)) error {
 			stack = stack[:len(stack)-1]
 			ev := Event{
 				Tag:   top.tag,
-				Text:  strings.TrimSpace(top.text.String()),
+				Text:  top.text.String(),
 				Start: top.start,
 				End:   counter,
 				Depth: len(stack) + 1,
@@ -276,7 +309,7 @@ func scan(src Source, emit func(*Event)) error {
 			emit(&ev)
 		case xml.CharData:
 			if len(stack) > 0 {
-				stack[len(stack)-1].text.Write(el)
+				stack[len(stack)-1].text.Write(bytes.TrimSpace(el))
 			}
 		}
 	}

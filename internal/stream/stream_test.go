@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"xmlest/internal/core"
@@ -218,5 +222,87 @@ func TestBuildAllTagsEstimatorServesPatterns(t *testing.T) {
 		if !est.HasPredicate(name) {
 			t.Fatalf("estimator lacks %q", name)
 		}
+	}
+}
+
+// randomDoc writes a document with attributes (namespace declarations
+// among them), prefixed names, mixed content, CDATA, comments and
+// whitespace around text runs.
+func randomDoc(r *rand.Rand) string {
+	tags := []string{"a", "b", "p:e"}
+	attrs := []string{` k="v"`, ` id='1'`, ` k=" spaced "`, ` xmlns="u"`, ` xmlns:p="u"`, ` p:q="2"`,
+		` xmlns:x="xmlns" x:r="3"`, ` v="a&amp;b"`}
+	texts := []string{"", "x", " x ", "\n  ", "a b", " y\t", "&amp; z", "<![CDATA[ c ]]>", "<!-- n -->"}
+	var sb strings.Builder
+	var elem func(depth int)
+	elem = func(depth int) {
+		tag := tags[r.Intn(len(tags))]
+		sb.WriteString("<" + tag + ` xmlns:p="u"`)
+		for n := r.Intn(3); n > 0; n-- {
+			sb.WriteString(attrs[r.Intn(len(attrs))])
+		}
+		if depth > 3 || r.Intn(4) == 0 {
+			sb.WriteString("/>")
+			return
+		}
+		sb.WriteString(">")
+		for n := r.Intn(4); n > 0; n-- {
+			sb.WriteString(texts[r.Intn(len(texts))])
+			if r.Intn(2) == 0 {
+				elem(depth + 1)
+			}
+		}
+		sb.WriteString("</" + tag + ">")
+	}
+	for n := 1 + r.Intn(2); n > 0; n-- {
+		sb.WriteString(texts[r.Intn(len(texts))])
+		elem(0)
+	}
+	return sb.String()
+}
+
+// TestScanMatchesTreeNodes checks that the streamed events are exactly
+// the nodes of xmltree.Parse — tags, text and labels — so that
+// /append-stream and /append of one document estimate alike.
+func TestScanMatchesTreeNodes(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		doc := randomDoc(rand.New(rand.NewSource(seed)))
+		tr, err := xmltree.ParseString(doc)
+		if err != nil {
+			t.Fatalf("seed %d: ParseString(%q): %v", seed, doc, err)
+		}
+		var events []Event
+		if err := scan(sourceFromString(doc), func(ev *Event) { events = append(events, *ev) }); err != nil {
+			t.Fatalf("seed %d: scan(%q): %v", seed, doc, err)
+		}
+		sort.Slice(events, func(i, j int) bool { return events[i].Start < events[j].Start })
+		var want []Event
+		for _, n := range tr.Nodes[1:] {
+			want = append(want, Event{Tag: n.Tag, Text: n.Text, Start: n.Start, End: n.End, Depth: n.Depth})
+		}
+		if !reflect.DeepEqual(events, want) {
+			t.Fatalf("seed %d: %q\nstream: %+v\ntree:   %+v", seed, doc, events, want)
+		}
+		if n, _, err := countNodes(sourceFromString(doc), false); err != nil || n != tr.NumNodes() {
+			t.Fatalf("seed %d: countNodes = %d, %v; tree has %d nodes", seed, n, err, tr.NumNodes())
+		}
+	}
+}
+
+func TestScanNumbersAttributesAndTrimsRuns(t *testing.T) {
+	var got []Event
+	doc := `<a k="v"><b>x</b></a><c>x <d/> y</c>`
+	if err := scan(sourceFromString(doc), func(ev *Event) { got = append(got, *ev) }); err != nil {
+		t.Fatal(err)
+	}
+	want := []Event{
+		{Tag: "@k", Text: "v", Start: 2, End: 3, Depth: 2},
+		{Tag: "b", Text: "x", Start: 4, End: 5, Depth: 2},
+		{Tag: "a", Start: 1, End: 6, Depth: 1},
+		{Tag: "d", Start: 8, End: 9, Depth: 2},
+		{Tag: "c", Text: "xy", Start: 7, End: 10, Depth: 1},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("events = %+v, want %+v", got, want)
 	}
 }

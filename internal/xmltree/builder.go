@@ -21,9 +21,20 @@ package xmltree
 // strictly nested inside its ancestors'.
 type Builder struct {
 	nodes     []Node
-	stack     []NodeID // open nodes, excluding the implicit dummy root slot 0
-	lastChild []NodeID // per open node (parallel to stack+root): last child appended
+	stack     []NodeID      // open nodes, excluding the implicit dummy root slot 0
+	lastChild []NodeID      // per open node (parallel to stack+root): last child appended
+	text      []pendingText // per open node (parallel to stack+root): its text so far
 	counter   int
+}
+
+// pendingText is an open element's character data, set as the node's
+// Text when the element closes. Text arrives in runs, one per stretch
+// between child elements. The first run is kept as given; once a second
+// arrives, the runs are appended to a buffer, so an element with n runs
+// costs O(total length) rather than O(n × length).
+type pendingText struct {
+	first string
+	more  []byte // first and every later run, once there are two
 }
 
 // NewBuilder returns a Builder with the dummy root opened.
@@ -39,6 +50,7 @@ func NewBuilder() *Builder {
 	})
 	b.stack = []NodeID{0}
 	b.lastChild = []NodeID{InvalidNode}
+	b.text = []pendingText{{}}
 	return b
 }
 
@@ -64,19 +76,24 @@ func (b *Builder) Begin(tag string) NodeID {
 	b.lastChild[len(b.lastChild)-1] = id
 	b.stack = append(b.stack, id)
 	b.lastChild = append(b.lastChild, InvalidNode)
+	b.text = append(b.text, pendingText{})
 	return id
 }
 
-// Text appends character data to the currently open element.
+// Text appends character data to the currently open element. The
+// element's Text is the concatenation of every call, in order.
 func (b *Builder) Text(s string) {
-	id := b.stack[len(b.stack)-1]
-	if id == 0 {
-		return // ignore top-level text
+	if len(b.stack) == 1 || s == "" {
+		return // top-level text is ignored
 	}
-	if b.nodes[id].Text == "" {
-		b.nodes[id].Text = s
-	} else {
-		b.nodes[id].Text += s
+	t := &b.text[len(b.text)-1]
+	switch {
+	case t.first == "":
+		t.first = s
+	case len(t.more) == 0:
+		t.more = append(append(t.more, t.first...), s...)
+	default:
+		t.more = append(t.more, s...)
 	}
 }
 
@@ -99,8 +116,14 @@ func (b *Builder) End() {
 	id := b.stack[len(b.stack)-1]
 	b.nodes[id].End = b.counter
 	b.counter++
+	if t := b.text[len(b.text)-1]; len(t.more) > 0 {
+		b.nodes[id].Text = string(t.more)
+	} else {
+		b.nodes[id].Text = t.first
+	}
 	b.stack = b.stack[:len(b.stack)-1]
 	b.lastChild = b.lastChild[:len(b.lastChild)-1]
+	b.text = b.text[:len(b.text)-1]
 }
 
 // Element emits a complete leaf element with text content.

@@ -1,7 +1,8 @@
 // Package xmltree provides the node-labeled tree substrate that the
-// estimator is built on: an in-memory XML document model, a parser built
-// on encoding/xml, and the interval ("position") numbering scheme of
-// Section 3.1 of the paper.
+// estimator is built on: an in-memory XML document model, a strict XML
+// parser that scans each document's bytes in one pass (it accepts what
+// encoding/xml accepts), and the interval ("position") numbering scheme
+// of Section 3.1 of the paper.
 //
 // A database is a single rooted tree. Multiple documents are merged into
 // one mega-tree under a dummy root (tag "/"), exactly as the paper

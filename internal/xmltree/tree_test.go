@@ -142,20 +142,6 @@ func TestParseRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestParseLenientRecovers(t *testing.T) {
-	opts := ParseOptions{KeepAttributes: true, Strict: false}
-	tr, err := ParseCollection(readerSlice(`<a><b>text`), opts)
-	if err != nil {
-		t.Fatalf("lenient parse: %v", err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if tr.NumNodes() != 2 {
-		t.Errorf("NumNodes = %d, want 2", tr.NumNodes())
-	}
-}
-
 func TestParseCollectionMergesDocuments(t *testing.T) {
 	tr, err := ParseCollection(
 		readerSlice(`<a><b/></a>`, `<a><c/></a>`),

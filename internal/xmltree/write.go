@@ -10,7 +10,10 @@ import (
 
 // WriteXML serializes the subtree rooted at id as XML. Attribute
 // pseudo-nodes ("@name") become attributes of their parent element;
-// text content is emitted before child elements. Writing the dummy root
+// text content is emitted before child elements. Text and attribute
+// values are escaped as XML (xml.EscapeText), so Parse reads back the
+// same tree when each node's attributes precede its child elements and
+// its text is trimmed, as in every parsed tree. Writing the dummy root
 // emits each document child in sequence (a well-formed fragment per
 // document).
 func WriteXML(w io.Writer, t *Tree, id NodeID) error {
@@ -41,7 +44,13 @@ func writeElem(w *bufio.Writer, t *Tree, id NodeID, depth int) error {
 	for c := n.FirstChild; c != InvalidNode; c = t.Nodes[c].NextSibling {
 		cn := t.Node(c)
 		if strings.HasPrefix(cn.Tag, "@") {
-			fmt.Fprintf(w, " %s=%q", cn.Tag[1:], cn.Text)
+			w.WriteByte(' ')
+			w.WriteString(cn.Tag[1:])
+			w.WriteString(`="`)
+			if err := xml.EscapeText(w, []byte(cn.Text)); err != nil {
+				return err
+			}
+			w.WriteByte('"')
 		} else {
 			kids = append(kids, c)
 		}
