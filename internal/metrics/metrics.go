@@ -221,7 +221,7 @@ type Endpoint struct {
 	lat      *LatencyHistogram
 	// recent is a ring of per-second request counts packed as
 	// sec<<32|count (sec truncated to 32 bits), written lock-free by
-	// Observe and read by RecentQPS.
+	// End and read by RecentQPS.
 	recent [recentSlots]atomic.Uint64
 }
 
@@ -235,17 +235,6 @@ func (e *Endpoint) Name() string { return e.name }
 // Latency exposes the endpoint's latency histogram.
 func (e *Endpoint) Latency() *LatencyHistogram { return e.lat }
 
-// BeginRequest marks a request in flight; the returned func completes
-// it, recording latency and the outcome.
-func (e *Endpoint) BeginRequest() func(Outcome) {
-	e.inflight.Add(1)
-	start := time.Now()
-	return func(o Outcome) {
-		e.inflight.Add(-1)
-		e.Observe(time.Since(start), o)
-	}
-}
-
 // RecordPanic counts one recovered handler panic. The request itself
 // is also completed (as an Error) by the usual path; this counter
 // exists so panics are distinguishable from ordinary failures.
@@ -254,8 +243,15 @@ func (e *Endpoint) RecordPanic() { e.panics.Add(1) }
 // Panics returns the recovered-panic count.
 func (e *Endpoint) Panics() uint64 { return e.panics.Load() }
 
-// Observe records one completed request.
-func (e *Endpoint) Observe(d time.Duration, o Outcome) {
+// Begin marks a request in flight; End completes it.
+func (e *Endpoint) Begin() { e.inflight.Add(1) }
+
+// End completes a request begun with Begin, recording its latency d
+// and outcome. now is the request's end time, taken by the caller
+// with the same clock read that measured d; it picks the per-second
+// slot of the recent-QPS ring.
+func (e *Endpoint) End(d time.Duration, now time.Time, o Outcome) {
+	e.inflight.Add(-1)
 	e.requests.Add(1)
 	switch o {
 	case Error:
@@ -264,7 +260,7 @@ func (e *Endpoint) Observe(d time.Duration, o Outcome) {
 		e.rejected.Add(1)
 	}
 	e.lat.Observe(d)
-	e.tick(time.Now().Unix())
+	e.tick(now.Unix())
 }
 
 // tick bumps the current second's slot in the recent ring, claiming it

@@ -68,10 +68,11 @@ func TestEndpointCountersAndErrors(t *testing.T) {
 	if again := r.Endpoint("estimate"); again != e {
 		t.Fatal("Endpoint is not idempotent per name")
 	}
-	e.Observe(time.Millisecond, OK)
-	e.Observe(2*time.Millisecond, Error)
-	e.Observe(time.Millisecond, Rejected)
-	done := e.BeginRequest()
+	for _, o := range []Outcome{OK, Error, Rejected} {
+		e.Begin()
+		e.End(time.Millisecond, time.Now(), o)
+	}
+	e.Begin()
 	snaps := r.Snapshot()
 	if len(snaps) != 1 {
 		t.Fatalf("Snapshot has %d endpoints, want 1", len(snaps))
@@ -80,7 +81,7 @@ func TestEndpointCountersAndErrors(t *testing.T) {
 	if s.Name != "estimate" || s.Requests != 3 || s.Errors != 1 || s.Rejected != 1 || s.Inflight != 1 {
 		t.Errorf("snapshot = %+v, want name=estimate requests=3 errors=1 rejected=1 inflight=1", s)
 	}
-	done(OK)
+	e.End(time.Millisecond, time.Now(), OK)
 	s = r.Snapshot()[0]
 	if s.Requests != 4 || s.Inflight != 0 {
 		t.Errorf("after done: requests=%d inflight=%d, want 4 and 0", s.Requests, s.Inflight)
@@ -100,8 +101,8 @@ func TestConcurrentObserve(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				done := e.BeginRequest()
-				done(OutcomeOf(i%10 == 0))
+				e.Begin()
+				e.End(time.Microsecond, time.Now(), OutcomeOf(i%10 == 0))
 			}
 		}(w)
 	}

@@ -36,9 +36,11 @@ func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	e := r.Endpoint("estimate")
 	for i := 0; i < 10; i++ {
-		e.BeginRequest()(OK)
+		e.Begin()
+		e.End(time.Millisecond, time.Now(), OK)
 	}
-	e.BeginRequest()(Error)
+	e.Begin()
+	e.End(time.Millisecond, time.Now(), Error)
 
 	var buf bytes.Buffer
 	if err := r.WriteExposition(&buf); err != nil {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"xmlest"
 	"xmlest/internal/accuracy"
@@ -317,16 +318,6 @@ func (s *Server) replicationDegraded() *DegradedJSON {
 	return &DegradedJSON{Component: "replication", Reason: reason}
 }
 
-// decodeJSON strictly decodes one JSON object from the request body.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	return nil
-}
-
 // writeRequestError maps a body-handling error to its status: 413 for
 // oversized bodies (MaxBytesReader fired), 400 for everything else.
 func writeRequestError(w http.ResponseWriter, prefix string, err error) {
@@ -340,37 +331,64 @@ func writeRequestError(w http.ResponseWriter, prefix string, err error) {
 
 // estimateScratch is the per-request working set of the hot /estimate
 // path, recycled through a sync.Pool so steady-state serving does no
-// per-request slice or buffer allocation: the decoded request (whose
-// pattern slice json reuses), the assembled pattern list, the facade
-// result slice (EstimateBatchInto appends into it), the wire response
-// and the JSON encode buffer.
+// per-request slice or buffer allocation: the request body, the
+// decoded request, the assembled pattern list, the facade result slice
+// (EstimateBatchInto appends into it), the wire response and its
+// encoding.
 type estimateScratch struct {
+	body     bytes.Buffer
 	req      EstimateRequest
 	patterns []string
 	results  []xmlest.Result
 	resp     EstimateResponse
-	buf      bytes.Buffer
-	enc      *json.Encoder
+	out      []byte
 }
 
 var estimatePool = sync.Pool{New: func() any {
-	sc := &estimateScratch{}
-	sc.enc = json.NewEncoder(&sc.buf)
-	return sc
+	return &estimateScratch{out: make([]byte, 0, 512)}
 }}
+
+// maxPooledScratchBytes caps the backing arrays a recycled scratch may
+// keep: a scratch that one large request grew past it is dropped for
+// the collector instead of pinning that request's memory under every
+// later small one.
+const maxPooledScratchBytes = 64 << 10
+
+// release returns sc to the pool. Every string the slices still
+// reference, past their length too, is cleared first so no earlier
+// request's patterns stay reachable through the pool.
+func (sc *estimateScratch) release() {
+	clear(sc.req.Patterns[:cap(sc.req.Patterns)])
+	clear(sc.patterns[:cap(sc.patterns)])
+	clear(sc.resp.Results[:cap(sc.resp.Results)])
+	sc.req.Pattern, sc.resp.Estimate = "", nil
+	footprint := sc.body.Cap() + cap(sc.out) +
+		(cap(sc.req.Patterns)+cap(sc.patterns))*int(unsafe.Sizeof("")) +
+		cap(sc.results)*int(unsafe.Sizeof(xmlest.Result{})) +
+		cap(sc.resp.Results)*int(unsafe.Sizeof(EstimateResult{}))
+	if footprint <= maxPooledScratchBytes {
+		estimatePool.Put(sc)
+	}
+}
 
 // handleEstimate serves single and batched estimates from one pinned
 // snapshot. Pattern errors (syntax, unknown predicates) are the
-// client's: 400. Responses are compact (unindented) JSON encoded into
-// a pooled buffer — this is the endpoint the serving benchmarks hammer.
+// client's: 400. The body is read whole into the pooled scratch (so an
+// over-limit body is a 413 from the instrument wrapper's
+// MaxBytesReader), scanned without reflection, and answered with
+// compact JSON appended into a pooled buffer — this is the endpoint
+// the serving benchmarks hammer.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	t := trace.FromContext(r.Context()) // nil unless sampled; all methods nil-safe
 	sc := estimatePool.Get().(*estimateScratch)
-	defer estimatePool.Put(sc)
-	sc.req.Pattern = ""
-	sc.req.Patterns = sc.req.Patterns[:0]
+	defer sc.release()
 	t.Begin()
-	if err := decodeJSON(r, &sc.req); err != nil {
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(r.Body); err != nil {
+		writeRequestError(w, "bad estimate request: ", err)
+		return
+	}
+	if err := decodeEstimateRequest(sc.body.Bytes(), &sc.req); err != nil {
 		writeRequestError(w, "bad estimate request: ", err)
 		return
 	}
@@ -419,15 +437,15 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if len(out) == 1 {
 		sc.resp.Estimate = &out[0].Estimate
 	}
-	sc.buf.Reset()
-	if err := sc.enc.Encode(&sc.resp); err != nil {
+	if sc.out, err = appendEstimateResponse(sc.out[:0], &sc.resp); err != nil {
 		writeError(w, http.StatusInternalServerError, "encode: "+err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(sc.buf.Len()))
+	h := w.Header() // canonical keys, set directly (see requestIDKey)
+	h["Content-Type"] = []string{"application/json"}
+	h["Content-Length"] = []string{strconv.Itoa(len(sc.out))}
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(sc.buf.Bytes())
+	_, _ = w.Write(sc.out)
 	t.Step(trace.StageEncode)
 }
 
@@ -478,7 +496,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var readers []io.Reader
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		var req AppendRequest
-		if err := decodeJSON(r, &req); err != nil {
+		if err := decodeJSON(r.Body, &req); err != nil {
 			writeRequestError(w, "bad append request: ", err)
 			return
 		}
@@ -612,7 +630,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	}
 	policy := s.cfg.CompactionPolicy
 	var req CompactRequest
-	if err := decodeJSON(r, &req); err != nil && !errors.Is(err, io.EOF) {
+	if err := decodeJSON(r.Body, &req); err != nil && !errors.Is(err, io.EOF) {
 		writeError(w, http.StatusBadRequest, "bad compact request: "+err.Error())
 		return
 	}

@@ -679,11 +679,24 @@ func (s *Server) checkpointLoop(ctx context.Context) {
 	}
 }
 
+// timeRound runs one background round, recording it on the named
+// endpoint as a request that fails when round returns an error.
+func (s *Server) timeRound(name string, round func() error) error {
+	ep := s.reg.Endpoint(name)
+	ep.Begin()
+	start := time.Now()
+	err := round()
+	end := time.Now()
+	ep.End(end.Sub(start), end, metrics.OutcomeOf(err != nil))
+	return err
+}
+
 // checkpointOnce runs one instrumented checkpoint round.
 func (s *Server) checkpointOnce() error {
-	done := s.reg.Endpoint("checkpoint").BeginRequest()
-	_, err := s.db.Checkpoint()
-	done(metrics.OutcomeOf(err != nil))
+	err := s.timeRound("checkpoint", func() error {
+		_, err := s.db.Checkpoint()
+		return err
+	})
 	s.cpRounds.Add(1)
 	if err != nil {
 		s.cpFailures.Add(1)
@@ -721,9 +734,11 @@ func (s *Server) noteDegraded() {
 // how many shards it merged away (0 when nothing qualified or the
 // round failed).
 func (s *Server) compactOnce() int {
-	done := s.reg.Endpoint("autocompact").BeginRequest()
-	merged, err := s.db.Compact(s.cfg.CompactionPolicy)
-	done(metrics.OutcomeOf(err != nil))
+	var merged int
+	err := s.timeRound("autocompact", func() (err error) {
+		merged, err = s.db.Compact(s.cfg.CompactionPolicy)
+		return err
+	})
 	s.autoRounds.Add(1)
 	if err != nil {
 		s.log.Error("auto-compact failed", "err", err)
@@ -769,6 +784,11 @@ func (r *statusRecorder) Flush() {
 
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
+// requestIDKey is trace.RequestIDHeader in canonical form, so instrument
+// can read and write it by direct map access: Header.Get and Set
+// canonicalize their key on every call.
+var requestIDKey = http.CanonicalHeaderKey(trace.RequestIDHeader)
+
 // instrument enforces the HTTP method, bounds the request body to
 // bodyLimit bytes, and records latency, request, error and rejection
 // counts per endpoint.
@@ -791,17 +811,20 @@ func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter 
 func (s *Server) instrument(name, method string, bodyLimit int64, h http.HandlerFunc) http.Handler {
 	ep := s.reg.Endpoint(name)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reqID := r.Header.Get(trace.RequestIDHeader)
+		var reqID string
+		if v := r.Header[requestIDKey]; len(v) > 0 {
+			reqID = v[0]
+		}
 		if reqID == "" {
 			reqID = trace.NewRequestID()
 		}
-		w.Header().Set(trace.RequestIDHeader, reqID)
+		w.Header()[requestIDKey] = []string{reqID}
 		start := time.Now()
 		t := s.tracer.Start()
 		if t != nil {
 			r = r.WithContext(trace.NewContext(r.Context(), t))
 		}
-		done := ep.BeginRequest()
+		ep.Begin()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		defer func() {
 			if p := recover(); p != nil {
@@ -814,15 +837,19 @@ func (s *Server) instrument(name, method string, bodyLimit int64, h http.Handler
 					writeError(rec, http.StatusInternalServerError, "internal error")
 				}
 			}
+			outcome := metrics.OK
 			switch {
 			case rec.status == http.StatusServiceUnavailable:
-				done(metrics.Rejected)
+				outcome = metrics.Rejected
 			case rec.status >= 400:
-				done(metrics.Error)
-			default:
-				done(metrics.OK)
+				outcome = metrics.Error
 			}
-			s.tracer.Finish(t, name, reqID, time.Since(start), rec.status)
+			// One clock pair per request: start and end feed the latency
+			// histogram, the per-second QPS ring and the slow log alike.
+			end := time.Now()
+			d := end.Sub(start)
+			ep.End(d, end, outcome)
+			s.tracer.Finish(t, name, reqID, d, rec.status)
 		}()
 		if r.Method != method {
 			rec.Header().Set("Allow", method)

@@ -30,7 +30,7 @@ const dept2 = `<department>
 
 // newTestServer builds a server over the dept1 document with tag
 // predicates and a small grid.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	db, err := xmlest.Open(strings.NewReader(dept1))
 	if err != nil {
