@@ -24,12 +24,13 @@ type entry[K comparable, V any] struct {
 }
 
 // New returns an LRU holding at most capacity entries. capacity must be
-// at least 1.
+// at least 1. The map grows with its entries rather than being sized
+// for capacity up front: many caches hold a handful of entries.
 func New[K comparable, V any](capacity int) *LRU[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	l := &LRU[K, V]{capacity: capacity, items: make(map[K]*entry[K, V], capacity)}
+	l := &LRU[K, V]{capacity: capacity, items: make(map[K]*entry[K, V])}
 	l.root.prev = &l.root
 	l.root.next = &l.root
 	return l

@@ -339,6 +339,9 @@ func (e *Estimator) EstimatePairParentChild(ancName, descName string) (Result, e
 // a pure function of the (immutable) level histograms, so it is
 // memoized per predicate pair.
 func (e *Estimator) childEdgeRatio(ancName, descName string) float64 {
+	if e.levels == nil {
+		return 1
+	}
 	key := [2]string{ancName, descName}
 	e.ratioMu.Lock()
 	if r, ok := e.ratios[key]; ok {
@@ -519,7 +522,8 @@ func (e *Estimator) EstimateTwig(p *pattern.Pattern) (Result, error) {
 // SubPattern (estimate, participation, coverage) of the pattern,
 // anchored at its root. The returned position histograms are private
 // clones, so callers may mutate them without corrupting the
-// estimator's sub-twig join cache.
+// estimator's sub-twig join cache; coverage histograms are immutable
+// and shared.
 func (e *Estimator) EstimateSubPattern(p *pattern.Pattern) (SubPattern, error) {
 	sp, _, err := e.buildSubPattern(p.Root)
 	if err != nil {
@@ -528,9 +532,6 @@ func (e *Estimator) EstimateSubPattern(p *pattern.Pattern) (SubPattern, error) {
 	sp.Est = sp.Est.Clone()
 	sp.Hist = sp.Hist.Clone()
 	sp.Base = sp.Base.Clone()
-	if sp.Cvg != nil {
-		sp.Cvg = sp.Cvg.Clone()
-	}
 	return sp, nil
 }
 

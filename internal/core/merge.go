@@ -123,10 +123,7 @@ func MergeSummaries(parts []*Estimator) (*Estimator, MergedPredicateMixed, error
 	for _, name := range names {
 		st := states[name]
 		h := histogram.NewPosition(grid)
-		var cov *histogram.Coverage
-		if st.hasCoverage {
-			cov = histogram.NewCoverage(grid)
-		}
+		var entries []histogram.CoverageEntry
 		for s, p := range parts {
 			ph, ok := p.hists[name]
 			if !ok {
@@ -134,16 +131,16 @@ func MergeSummaries(parts []*Estimator) (*Estimator, MergedPredicateMixed, error
 			}
 			off := offsets[s]
 			translate(h, ph, off)
-			if cov != nil {
+			if st.hasCoverage {
 				p.covs[name].EachFrac(func(i, j, m, n int, f float64) {
-					cov.SetFrac(off+i, off+j, off+m, off+n, f)
+					entries = append(entries, histogram.CoverageEntry{I: off + i, J: off + j, M: off + m, N: off + n, Frac: f})
 				})
 			}
 		}
 		e.hists[name] = h
 		e.overlap[name] = st.overlap
-		if cov != nil {
-			e.covs[name] = cov
+		if st.hasCoverage {
+			e.covs[name] = histogram.NewCoverageFromEntries(grid, entries)
 		}
 		e.names = append(e.names, name)
 	}

@@ -19,9 +19,9 @@ import (
 // join cache below. See DESIGN.md, "Summary pipeline & performance".
 
 // joinCacheSize bounds the estimator-level sub-pattern join cache. Each
-// entry holds a folded SubPattern (two g×g histograms plus a sparse
-// coverage map), so the bound keeps the cache within a few megabytes at
-// the paper's grid sizes.
+// entry holds a folded SubPattern: two sparse histograms and a CSR
+// coverage histogram, O(nnz) each, so the bound keeps the cache small
+// at any grid size.
 const joinCacheSize = 256
 
 // cachedJoin is a folded sub-pattern with the no-overlap usage flag.
@@ -51,6 +51,7 @@ func (e *Estimator) joins() *joinLRU {
 // identical sub-patterns.
 func subtreeSig(q *pattern.Node) string {
 	var b strings.Builder
+	b.Grow(64)
 	writeSig(&b, q)
 	return b.String()
 }
@@ -88,12 +89,24 @@ type PreparedQuery struct {
 // predicate reference is resolved eagerly, so an unknown name fails
 // here rather than on first evaluation.
 func (e *Estimator) Prepare(p *pattern.Pattern) (*PreparedQuery, error) {
-	for _, n := range p.Nodes() {
-		if _, err := e.Histogram(n.PredName()); err != nil {
-			return nil, err
-		}
+	if err := e.resolve(p.Root); err != nil {
+		return nil, err
 	}
 	return &PreparedQuery{e: e, p: p}, nil
+}
+
+// resolve checks that every predicate of the sub-twig at q has a
+// histogram, in pre-order.
+func (e *Estimator) resolve(q *pattern.Node) error {
+	if _, err := e.Histogram(q.PredName()); err != nil {
+		return err
+	}
+	for _, qc := range q.Children {
+		if err := e.resolve(qc); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // PrepareShared is Prepare memoized by pattern identity: repeated

@@ -191,9 +191,7 @@ func TestEstimateSubPatternReturnsPrivateClones(t *testing.T) {
 	}
 	want := sp.Total()
 	sp.Est.Scale(7) // caller mutation must not leak into the cache
-	if sp.Cvg != nil {
-		sp.Cvg.SetFrac(0, 0, 0, 0, 0.5) // nor coverage mutation
-	}
+	sp.Hist.Set(0, 0, 3)
 	res, err := est.EstimateTwig(p)
 	if err != nil {
 		t.Fatalf("EstimateTwig: %v", err)
@@ -202,7 +200,8 @@ func TestEstimateSubPatternReturnsPrivateClones(t *testing.T) {
 		t.Fatalf("estimate after caller mutation = %v, want %v", res.Estimate, want)
 	}
 	// A twig extending the mutated sub-twig must still match a cold
-	// estimator (the cached coverage must be untouched).
+	// estimator (the cached participation must be untouched; coverage
+	// histograms are immutable).
 	bigger := pattern.MustParse("//department//faculty//TA")
 	_, _, cold := fig1Estimator(t, 4)
 	wantBig, err := cold.EstimateTwig(bigger)
@@ -214,7 +213,7 @@ func TestEstimateSubPatternReturnsPrivateClones(t *testing.T) {
 		t.Fatalf("warm: %v", err)
 	}
 	if gotBig.Estimate != wantBig.Estimate {
-		t.Fatalf("extended twig after coverage mutation = %v, want %v", gotBig.Estimate, wantBig.Estimate)
+		t.Fatalf("extended twig after caller mutation = %v, want %v", gotBig.Estimate, wantBig.Estimate)
 	}
 }
 

@@ -19,13 +19,19 @@ import (
 // histogram's sums: the expected number of descendant-histogram points
 // joining with one point in (i, j).
 func ancestorCoef(s *histogram.Sums, i, j int) float64 {
-	if i == j {
-		return s.Self(i, i) / 12
+	return ancestorCoefOf(s.Region(i, j), i == j, s.Self(i, i), s.Self(j, j))
+}
+
+// ancestorCoefOf is ancestorCoef from the cell's region sums r and the
+// diagonal cells selfII = H[i][i] and selfJJ = H[j][j].
+func ancestorCoefOf(r histogram.Region, diagonal bool, selfII, selfJJ float64) float64 {
+	if diagonal {
+		return r.Self / 12
 	}
-	return s.Inside(i, j) +
-		s.Down(i, j) - s.Self(i, i)/2 +
-		s.Right(i, j) - s.Self(j, j)/2 +
-		s.Self(i, j)/4
+	return r.Inside +
+		r.Down - selfII/2 +
+		r.Right - selfJJ/2 +
+		r.Self/4
 }
 
 // descendantCoef returns the Fig 6 descendant-based coefficient for

@@ -1,19 +1,24 @@
 package histogram
 
 import (
+	"cmp"
 	"fmt"
-	"sync/atomic"
+	"slices"
 
 	"xmlest/internal/xmltree"
 )
 
-// cellKey packs a (i, j) grid cell into a map key. Grid sizes are far
-// below 1<<16.
+// cellKey packs a (i, j) grid cell into one integer. Grid sizes are far
+// below 1<<16, so ascending key order is ascending (i, j) order.
 type cellKey uint32
 
 func key(i, j int) cellKey { return cellKey(uint32(i)<<16 | uint32(j)) }
 
 func (k cellKey) split() (int, int) { return int(k >> 16), int(k & 0xffff) }
+
+// SplitCell unpacks a packed cell key from the CSR slices into its
+// (i, j) grid coordinates.
+func SplitCell(k uint32) (int, int) { return cellKey(k).split() }
 
 // Coverage is the coverage histogram of Section 4.2 for a predicate P
 // with the no-overlap property: Cvg[i][j][m][n] is the fraction of the
@@ -24,25 +29,81 @@ func (k cellKey) split() (int, int) { return int(k >> 16), int(k & 0xffff) }
 // maximal P-nodes, so for fixed (i, j) the fractions over all (m, n) sum
 // to at most 1.
 //
-// The structure is stored sparsely. Theorem 2 guarantees that only O(g)
-// cell pairs have partial (neither 0 nor 1) coverage; StorageBytes
-// reports the encoding size of the partial cells only, since full cells
-// are reconstructible from the position histogram (they lie strictly
-// inside a populated ancestor cell's guaranteed region).
+// The histogram is immutable and stored in compressed-sparse-row form,
+// holding only non-zero fractions (Theorem 2 guarantees that only O(g)
+// cell pairs have partial coverage):
+//
+//	vCell[r]                     the r-th covered cell, ascending
+//	rowStart[r]..rowStart[r+1]   the r-th row's slice of aCell/frac
+//	aCell[k], frac[k]            ancestor cell and fraction, aCell
+//	                             ascending within each row
+//
+// The sorted order makes every iteration, and so every floating-point
+// accumulation over it, deterministic. StorageBytes reports the
+// encoding size of the partial cells only, since full cells are
+// reconstructible from the position histogram.
 type Coverage struct {
-	grid Grid
-	// frac[v][a] = fraction of TRUE-nodes in cell v covered by P-nodes
-	// in cell a. Zero-fraction entries are not stored. The nested maps
-	// are the mutable build-time representation only; every read on the
-	// estimation path goes through the flattened CSR form below.
-	frac map[cellKey]map[cellKey]float64
+	grid     Grid
+	vCell    []uint32
+	rowStart []uint32
+	aCell    []uint32
+	frac     []float64
+}
 
-	// flat caches the CSR-flattened form (see Flatten), built lazily on
-	// the immutable histogram and invalidated by SetFrac. Iterating the
-	// sorted slices makes EachFrac deterministic (map order is not) and
-	// keeps the join inner loops on contiguous memory; the cache also
-	// means MarshalBinary/StorageBytes never re-sort on repeated calls.
-	flat atomic.Pointer[FlatCoverage]
+// newCoverage returns an empty coverage histogram with room for the
+// given rows and entries; the three index slices share one backing
+// array.
+func newCoverage(grid Grid, rows, entries int) *Coverage {
+	idx := make([]uint32, 2*rows+1+entries)
+	return &Coverage{
+		grid:     grid,
+		vCell:    idx[:0:rows],
+		rowStart: idx[rows : rows+1 : 2*rows+1],
+		aCell:    idx[2*rows+1 : 2*rows+1],
+		frac:     make([]float64, 0, entries),
+	}
+}
+
+// add appends Cvg[v][a] = f. Entries must arrive in ascending (v, a)
+// order.
+func (c *Coverage) add(v, a uint32, f float64) {
+	if n := len(c.vCell); n == 0 || c.vCell[n-1] != v {
+		c.vCell = append(c.vCell, v)
+		c.rowStart = append(c.rowStart, uint32(len(c.aCell)))
+	}
+	c.aCell = append(c.aCell, a)
+	c.frac = append(c.frac, f)
+	c.rowStart[len(c.rowStart)-1] = uint32(len(c.aCell))
+}
+
+// entry is one coverage fraction keyed by packed covered and ancestor
+// cells.
+type entry struct {
+	v, a uint32
+	f    float64
+}
+
+func cmpEntry(x, y entry) int {
+	if x.v != y.v {
+		return cmp.Compare(x.v, y.v)
+	}
+	return cmp.Compare(x.a, y.a)
+}
+
+// fromSorted builds a coverage histogram from entries in ascending
+// (v, a) order.
+func fromSorted(grid Grid, es []entry) *Coverage {
+	rows := 0
+	for x := range es {
+		if x == 0 || es[x].v != es[x-1].v {
+			rows++
+		}
+	}
+	c := newCoverage(grid, rows, len(es))
+	for _, e := range es {
+		c.add(e.v, e.a, e.f)
+	}
+	return c
 }
 
 // BuildCoverage constructs the exact coverage histogram for the
@@ -62,31 +123,36 @@ func BuildCoverage(t *xmltree.Tree, pnodes []xmltree.NodeID, trueHist *Position)
 
 // BuildCoverageFromCells is BuildCoverage with the per-node grid cells
 // precomputed (see ComputeNodeCells), so the sweep does no bucket
-// searches and no per-node map operations: descendants accumulate into
-// a dense g×g plane per distinct ancestor cell (Theorem 1 bounds the
-// distinct ancestor cells by O(g), so the planes stay small).
+// searches and no per-node map operations.
 //
 // Because node ids follow pre-order and intervals nest, the proper
 // descendants of a P-node occupy the contiguous id range just after it,
 // so the sweep visits only covered nodes — O(|P| + covered) rather than
 // one pass over the whole tree. Leaf-tag predicates cover nothing and
-// cost O(|P|).
+// cost O(|P|). P-nodes do not nest, so sorted by start they are sorted
+// by end too, and P-nodes sharing an ancestor cell are consecutive:
+// each such run counts its descendants into one reused dense plane and
+// emits its entries before the next run starts; the entries are sorted
+// once at the end.
 func BuildCoverageFromCells(t *xmltree.Tree, pnodes []xmltree.NodeID, trueHist *Position, nc *NodeCells) (*Coverage, error) {
 	grid := trueHist.Grid()
 	g := grid.Size()
-	cov := &Coverage{grid: grid, frac: make(map[cellKey]map[cellKey]float64)}
-
-	// Dense planes trade O(g²) memory per distinct ancestor cell (O(g)
-	// of them, Theorem 1) for map-free accumulation. That is the right
-	// trade at the paper's grid sizes but grows O(g³) transient memory,
-	// so very large grids fall back to sparse per-plane maps.
-	const densePlaneLimit = 128
-	dense := g <= densePlaneLimit
-
-	planeID := make(map[cellKey]int)
-	var planes [][]float64
-	var sparsePlanes []map[int]float64
-	var planeCells []cellKey // first-open order, parallel to planes
+	var (
+		plane   []float64
+		touched []int
+		out     []entry
+	)
+	flush := func(a uint32) {
+		for _, idx := range touched {
+			i, j := idx/g, idx%g
+			if pop := trueHist.Count(i, j); pop > 0 {
+				out = append(out, entry{uint32(key(i, j)), a, plane[idx] / pop})
+			}
+			plane[idx] = 0
+		}
+		touched = touched[:0]
+	}
+	cellOf := func(id xmltree.NodeID) uint32 { return uint32(key(int(nc.I[id]), int(nc.J[id]))) }
 	for cursor := 0; cursor < len(pnodes); cursor++ {
 		p := t.Node(pnodes[cursor])
 		// pnodes is start-sorted, so any P-node nested inside p would be
@@ -96,100 +162,72 @@ func BuildCoverageFromCells(t *xmltree.Tree, pnodes []xmltree.NodeID, trueHist *
 				return nil, fmt.Errorf("histogram: BuildCoverage on overlapping predicate (node %d nested)", pnodes[cursor+1])
 			}
 		}
-		ak := key(int(nc.I[pnodes[cursor]]), int(nc.J[pnodes[cursor]]))
-		pid, ok := planeID[ak]
-		if !ok {
-			pid = len(planeCells)
-			planeID[ak] = pid
-			planeCells = append(planeCells, ak)
-			if dense {
-				planes = append(planes, make([]float64, g*g))
-			} else {
-				sparsePlanes = append(sparsePlanes, make(map[int]float64))
-			}
-		}
 		// The proper descendants of p: ids after p while starts stay
 		// inside p's interval (their ends nest inside automatically).
-		last := len(t.Nodes)
-		if dense {
-			open := planes[pid]
-			for id := int(pnodes[cursor]) + 1; id < last && t.Nodes[id].Start < p.End; id++ {
-				open[int(nc.I[id])*g+int(nc.J[id])]++
+		for id := int(pnodes[cursor]) + 1; id < len(t.Nodes) && t.Nodes[id].Start < p.End; id++ {
+			if plane == nil {
+				plane = make([]float64, g*g)
 			}
-		} else {
-			open := sparsePlanes[pid]
-			for id := int(pnodes[cursor]) + 1; id < last && t.Nodes[id].Start < p.End; id++ {
-				open[int(nc.I[id])*g+int(nc.J[id])]++
+			idx := int(nc.I[id])*g + int(nc.J[id])
+			if plane[idx] == 0 {
+				touched = append(touched, idx)
 			}
+			plane[idx]++
+		}
+		if a := cellOf(pnodes[cursor]); cursor+1 == len(pnodes) || cellOf(pnodes[cursor+1]) != a {
+			flush(a)
 		}
 	}
-	store := func(pid, idx int, c float64) {
-		i, j := idx/g, idx%g
-		pop := trueHist.Count(i, j)
-		if pop <= 0 {
-			return
-		}
-		v := key(i, j)
-		m := cov.frac[v]
-		if m == nil {
-			m = make(map[cellKey]float64)
-			cov.frac[v] = m
-		}
-		m[planeCells[pid]] = c / pop
+	slices.SortFunc(out, cmpEntry)
+	return fromSorted(grid, out), nil
+}
+
+// CoverageEntry is one coverage fraction: Cvg[I][J][M][N] = Frac.
+type CoverageEntry struct {
+	I, J, M, N int
+	Frac       float64
+}
+
+// NewCoverageFromEntries builds a coverage histogram from entries in any
+// order, with the semantics of assigning them in turn: a later entry
+// for the same cell pair replaces an earlier one, and a zero fraction
+// leaves no entry. Cells must lie on the grid.
+func NewCoverageFromEntries(grid Grid, entries []CoverageEntry) *Coverage {
+	es := make([]entry, len(entries))
+	for x, e := range entries {
+		es[x] = entry{uint32(key(e.I, e.J)), uint32(key(e.M, e.N)), e.Frac}
 	}
-	for pid := range planeCells {
-		if dense {
-			for idx, c := range planes[pid] {
-				if c != 0 {
-					store(pid, idx, c)
+	slices.SortStableFunc(es, cmpEntry)
+	// Keep the last entry of each cell pair, then drop zeros.
+	kept := es[:0]
+	for x, e := range es {
+		if x+1 < len(es) && cmpEntry(es[x+1], e) == 0 {
+			continue
+		}
+		if e.f != 0 {
+			kept = append(kept, e)
+		}
+	}
+	return fromSorted(grid, kept)
+}
+
+// Scaled returns a copy with every entry Cvg[i][j][m][n] multiplied by
+// ratio[m*g+n], a dense g×g plane over the ancestor cells — the
+// participation-ratio propagation of Fig 10. Entries whose ratio is not
+// positive, or whose product is zero, are dropped; the rest keep their
+// order.
+func (c *Coverage) Scaled(ratio []float64) *Coverage {
+	g := c.grid.Size()
+	out := newCoverage(c.grid, len(c.vCell), len(c.aCell))
+	for r, v := range c.vCell {
+		for k := c.rowStart[r]; k < c.rowStart[r+1]; k++ {
+			m, n := cellKey(c.aCell[k]).split()
+			if x := ratio[m*g+n]; x > 0 {
+				if f := c.frac[k] * x; f != 0 {
+					out.add(v, c.aCell[k], f)
 				}
 			}
-		} else {
-			for idx, c := range sparsePlanes[pid] {
-				store(pid, idx, c)
-			}
 		}
-	}
-	return cov, nil
-}
-
-// NewCoverage returns an empty coverage histogram on the grid. It is
-// used by estimation code that propagates coverage across joins
-// (Fig 10 coverage-estimation formulas).
-func NewCoverage(grid Grid) *Coverage {
-	return &Coverage{grid: grid, frac: make(map[cellKey]map[cellKey]float64)}
-}
-
-// SetFrac sets Cvg[i][j][m][n]. Setting zero removes the entry.
-func (c *Coverage) SetFrac(i, j, m, n int, f float64) {
-	c.flat.Store(nil)
-	v := key(i, j)
-	if f == 0 {
-		if byA, ok := c.frac[v]; ok {
-			delete(byA, key(m, n))
-			if len(byA) == 0 {
-				delete(c.frac, v)
-			}
-		}
-		return
-	}
-	byA := c.frac[v]
-	if byA == nil {
-		byA = make(map[cellKey]float64)
-		c.frac[v] = byA
-	}
-	byA[key(m, n)] = f
-}
-
-// Clone returns a deep copy.
-func (c *Coverage) Clone() *Coverage {
-	out := &Coverage{grid: c.grid, frac: make(map[cellKey]map[cellKey]float64, len(c.frac))}
-	for v, byA := range c.frac {
-		m := make(map[cellKey]float64, len(byA))
-		for a, f := range byA {
-			m[a] = f
-		}
-		out.frac[v] = m
 	}
 	return out
 }
@@ -197,32 +235,33 @@ func (c *Coverage) Clone() *Coverage {
 // Grid returns the coverage histogram's grid.
 func (c *Coverage) Grid() Grid { return c.grid }
 
-// Frac returns Cvg[i][j][m][n]: the fraction of nodes in cell (i, j)
-// covered by P-nodes in cell (m, n).
-func (c *Coverage) Frac(i, j, m, n int) float64 {
-	byA, ok := c.frac[key(i, j)]
-	if !ok {
-		return 0
-	}
-	return byA[key(m, n)]
+// CSR exposes the raw parallel slices for allocation-free iteration:
+// for each row r, vCell[r] is the covered cell and the half-open range
+// rowStart[r]..rowStart[r+1] indexes aCell/frac. Callers must treat
+// every slice as read-only.
+func (c *Coverage) CSR() (vCell, rowStart, aCell []uint32, frac []float64) {
+	return c.vCell, c.rowStart, c.aCell, c.frac
 }
 
-// CoveredFrac returns the total fraction of nodes in cell (i, j) that
-// are covered by any P node (the sum over all ancestor cells). It reads
-// the flattened form's precomputed row sum, so repeated calls on a
-// built histogram never re-walk a map; the summation order inside each
-// row is the sorted ancestor order, matching EachFrac.
-func (c *Coverage) CoveredFrac(i, j int) float64 {
-	return c.Flatten().CoveredFrac(i, j)
+// Row returns the CSR row index of covered cell (i, j), or -1.
+func (c *Coverage) Row(i, j int) int {
+	r, ok := slices.BinarySearch(c.vCell, uint32(key(i, j)))
+	if !ok {
+		return -1
+	}
+	return r
 }
 
 // EachFrac calls fn for every stored (non-zero) coverage entry, in
-// ascending (i, j, m, n) order. The sorted order makes estimation
-// arithmetic deterministic (floating-point accumulation is order-
-// sensitive, and map iteration order is not stable); the flattened
-// CSR form is cached until the next SetFrac (see Flatten).
+// ascending (i, j, m, n) order.
 func (c *Coverage) EachFrac(fn func(i, j, m, n int, f float64)) {
-	c.Flatten().Each(fn)
+	for r, v := range c.vCell {
+		i, j := cellKey(v).split()
+		for k := c.rowStart[r]; k < c.rowStart[r+1]; k++ {
+			m, n := cellKey(c.aCell[k]).split()
+			fn(i, j, m, n, c.frac[k])
+		}
+	}
 }
 
 // PartialCells returns the number of stored cell pairs whose coverage is
@@ -230,21 +269,13 @@ func (c *Coverage) EachFrac(fn func(i, j, m, n int, f float64)) {
 func (c *Coverage) PartialCells() int {
 	const eps = 1e-12
 	n := 0
-	for _, byA := range c.frac {
-		for _, f := range byA {
-			if f > eps && f < 1-eps {
-				n++
-			}
+	for _, f := range c.frac {
+		if f > eps && f < 1-eps {
+			n++
 		}
 	}
 	return n
 }
 
 // Entries returns the total number of stored (non-zero) entries.
-func (c *Coverage) Entries() int {
-	n := 0
-	for _, byA := range c.frac {
-		n += len(byA)
-	}
-	return n
-}
+func (c *Coverage) Entries() int { return len(c.frac) }

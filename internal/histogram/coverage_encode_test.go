@@ -30,14 +30,14 @@ func TestCoverageMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("entries = %d, want %d", got.Entries(), cov.Entries())
 	}
 	cov.EachFrac(func(i, j, m, n int, f float64) {
-		if g := got.Frac(i, j, m, n); math.Abs(g-f) > 1e-15 {
+		if g := fracOf(got, i, j, m, n); math.Abs(g-f) > 1e-15 {
 			t.Errorf("Cvg[%d][%d][%d][%d] = %v, want %v", i, j, m, n, g, f)
 		}
 	})
 }
 
 func TestCoverageMarshalEmpty(t *testing.T) {
-	cov := NewCoverage(MustUniformGrid(3, 30))
+	cov := NewCoverageFromEntries(MustUniformGrid(3, 30), nil)
 	blob, err := cov.MarshalBinary()
 	if err != nil {
 		t.Fatalf("MarshalBinary: %v", err)
@@ -67,17 +67,19 @@ func TestUnmarshalCoverageRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestCoverageSetFracDeletesZero(t *testing.T) {
-	cov := NewCoverage(MustUniformGrid(3, 30))
-	cov.SetFrac(0, 1, 0, 2, 0.5)
+// TestCoverageZeroFractionDeletesEntry: assigning a zero fraction
+// after a non-zero one leaves no entry, as the decoder reads it.
+func TestCoverageZeroFractionDeletesEntry(t *testing.T) {
+	grid := MustUniformGrid(3, 30)
+	cov := NewCoverageFromEntries(grid, []CoverageEntry{{0, 1, 0, 2, 0.5}})
 	if cov.Entries() != 1 {
 		t.Fatalf("entries = %d, want 1", cov.Entries())
 	}
-	cov.SetFrac(0, 1, 0, 2, 0)
+	cov = NewCoverageFromEntries(grid, []CoverageEntry{{0, 1, 0, 2, 0.5}, {0, 1, 0, 2, 0}})
 	if cov.Entries() != 0 {
-		t.Errorf("zero SetFrac should delete the entry")
+		t.Errorf("a later zero fraction should delete the entry")
 	}
-	if cov.Frac(0, 1, 0, 2) != 0 {
+	if fracOf(cov, 0, 1, 0, 2) != 0 {
 		t.Errorf("deleted entry still readable")
 	}
 }

@@ -73,16 +73,7 @@ func (h *Position) MarshalBinary() ([]byte, error) {
 		buf = append(buf, 0)
 	}
 	g := h.grid
-	if g.isUniform() {
-		buf = binary.AppendUvarint(buf, uint64(g.Size()))
-		buf = binary.AppendUvarint(buf, uint64(g.MaxPos()))
-	} else {
-		buf = binary.AppendUvarint(buf, 0)
-		buf = binary.AppendUvarint(buf, uint64(g.Size()))
-		for _, b := range g.bounds {
-			buf = binary.AppendUvarint(buf, uint64(b))
-		}
-	}
+	buf = appendGrid(buf, g)
 	buf = binary.AppendUvarint(buf, uint64(h.NonZero()))
 	prev := -1
 	h.EachNonZero(func(i, j int, c float64) {
@@ -112,43 +103,9 @@ func UnmarshalPosition(data []byte) (*Position, error) {
 		return nil, err
 	}
 	integral := flag == flagIntegral
-	first, err := r.uvarint()
+	grid, err := readGrid(r)
 	if err != nil {
 		return nil, err
-	}
-	var grid Grid
-	if first != 0 {
-		if err := checkDecodedGridSize(first); err != nil {
-			return nil, err
-		}
-		maxPos, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		grid, err = NewUniformGrid(int(first), int(maxPos))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		size, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if err := checkDecodedGridSize(size); err != nil {
-			return nil, err
-		}
-		bounds := make([]int, size+1)
-		for i := range bounds {
-			b, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			bounds[i] = int(b)
-			if i > 0 && bounds[i] <= bounds[i-1] {
-				return nil, fmt.Errorf("histogram: non-increasing bounds")
-			}
-		}
-		grid = Grid{bounds: bounds}
 	}
 	n, err := r.uvarint()
 	if err != nil {
@@ -245,7 +202,9 @@ func UnmarshalCoverage(data []byte) (*Coverage, error) {
 	if n > uint64(g)*uint64(g)*uint64(g)*uint64(g) {
 		return nil, fmt.Errorf("histogram: coverage entry count %d too large", n)
 	}
-	c := NewCoverage(grid)
+	// Each entry takes at least 10 bytes, which bounds the allocation
+	// an untrusted count can ask for.
+	entries := make([]CoverageEntry, 0, min(n, uint64(len(data)-r.off)/10))
 	for k := uint64(0); k < n; k++ {
 		v, err := r.uvarint()
 		if err != nil {
@@ -266,9 +225,9 @@ func UnmarshalCoverage(data []byte) (*Coverage, error) {
 		if math.IsNaN(f) || f < 0 {
 			return nil, fmt.Errorf("histogram: bad coverage fraction %v", f)
 		}
-		c.SetFrac(int(v)/g, int(v)%g, int(a)/g, int(a)%g, f)
+		entries = append(entries, CoverageEntry{int(v) / g, int(v) % g, int(a) / g, int(a) % g, f})
 	}
-	return c, nil
+	return NewCoverageFromEntries(grid, entries), nil
 }
 
 // appendGrid encodes a grid: uvarint size + maxPos for uniform grids, a

@@ -1,6 +1,7 @@
 package histogram
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -93,26 +94,37 @@ func FuzzEncodeDecode(f *testing.F) {
 }
 
 // FuzzCoverageEncodeDecode does the same for the coverage-histogram
-// encoding.
+// encoding, and holds the decoder to the map-backed reference: both
+// accept or both reject, and accepted blobs re-encode identically.
 func FuzzCoverageEncodeDecode(f *testing.F) {
 	uni := MustUniformGrid(3, 60)
-	c := NewCoverage(uni)
-	c.SetFrac(1, 1, 0, 2, 0.5)
-	c.SetFrac(2, 2, 0, 2, 1)
-	c.SetFrac(0, 1, 0, 2, 0.125)
+	c := NewCoverageFromEntries(uni, []CoverageEntry{
+		{1, 1, 0, 2, 0.5}, {2, 2, 0, 2, 1}, {0, 1, 0, 2, 0.125},
+	})
 	blob, err := c.MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(blob)
-	empty, err := NewCoverage(uni).MarshalBinary()
+	empty, err := NewCoverageFromEntries(uni, nil).MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(empty)
 	f.Add([]byte{'C'})
+	// Entries out of order, duplicated, and zeroed by a later duplicate.
+	raw := binary.AppendUvarint(appendGrid([]byte{cvgMagic}, uni), 4)
+	for _, e := range []struct {
+		v, a uint64
+		f    float64
+	}{{5, 2, 0.5}, {1, 0, 0.25}, {5, 2, 0}, {1, 0, 0.75}} {
+		raw = binary.AppendUvarint(binary.AppendUvarint(raw, e.v), e.a)
+		raw = binary.BigEndian.AppendUint64(raw, math.Float64bits(e.f))
+	}
+	f.Add(raw)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkCoverageDecode(t, data)
 		c, err := UnmarshalCoverage(data)
 		if err != nil {
 			return
@@ -130,7 +142,7 @@ func FuzzCoverageEncodeDecode(f *testing.F) {
 		}
 		var mismatch bool
 		c.EachFrac(func(i, j, m, n int, frac float64) {
-			if math.Float64bits(c2.Frac(i, j, m, n)) != math.Float64bits(frac) {
+			if math.Float64bits(fracOf(c2, i, j, m, n)) != math.Float64bits(frac) {
 				mismatch = true
 			}
 		})

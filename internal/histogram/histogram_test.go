@@ -349,7 +349,7 @@ func TestCoverageFractions(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		for j := i; j < 2; j++ {
-			if cf := cov.CoveredFrac(i, j); cf < -1e-9 || cf > 1+1e-9 {
+			if cf := coveredFrac(cov, i, j); cf < -1e-9 || cf > 1+1e-9 {
 				t.Errorf("CoveredFrac(%d,%d) = %v outside [0,1]", i, j, cf)
 			}
 		}

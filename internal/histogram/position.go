@@ -1,7 +1,9 @@
 package histogram
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"xmlest/internal/xmltree"
@@ -16,10 +18,14 @@ import (
 //
 // Counts are float64 because estimated histograms (the output of join
 // estimation and compound-predicate synthesis) are fractional.
+//
+// Join results are sparse: they hold only their non-zero cells (see
+// NewSparsePosition) and build the dense plane if they are mutated.
 type Position struct {
-	grid  Grid
-	cells []float64 // row-major: cells[i*g+j]
-	total float64
+	grid   Grid
+	cells  []float64 // row-major: cells[i*g+j]; nil while sparse
+	sparse []Cell    // a sparse histogram's cells, which nz points at
+	total  float64
 
 	// Lazily built, atomically published caches: the sparse non-zero
 	// cell list and the partial/prefix summation planes. Any mutation
@@ -34,6 +40,34 @@ type Position struct {
 func NewPosition(grid Grid) *Position {
 	g := grid.Size()
 	return &Position{grid: grid, cells: make([]float64, g*g)}
+}
+
+// NewSparsePosition returns the histogram whose non-zero cells are
+// cells, which must be in (i, j) order without zero counts; it takes
+// ownership of the slice. The total is the cells' sum in that order,
+// as if each had been Set in turn. Lookups binary-search the cells, so
+// a join result costs O(nnz) memory instead of a g×g plane.
+func NewSparsePosition(grid Grid, cells []Cell) *Position {
+	h := &Position{grid: grid, sparse: cells}
+	for _, c := range cells {
+		h.total += c.Count
+	}
+	h.nz.Store(&h.sparse)
+	return h
+}
+
+// densify builds the dense plane of a sparse histogram before a
+// mutation.
+func (h *Position) densify() {
+	if h.cells != nil {
+		return
+	}
+	g := h.grid.Size()
+	h.cells = make([]float64, g*g)
+	for _, c := range *h.nz.Load() {
+		h.cells[c.I*g+c.J] = c.Count
+	}
+	h.sparse = nil
 }
 
 // BuildPosition constructs the position histogram of the given node list
@@ -53,12 +87,7 @@ func BuildPosition(t *xmltree.Tree, nodes []xmltree.NodeID, grid Grid) *Position
 // for compound-predicate estimation and the population denominator for
 // coverage histograms.
 func BuildTrue(t *xmltree.Tree, grid Grid) *Position {
-	h := NewPosition(grid)
-	for id := 1; id < len(t.Nodes); id++ {
-		n := &t.Nodes[id]
-		h.Add(grid.Bucket(n.Start), grid.Bucket(n.End), 1)
-	}
-	return h
+	return BuildTrueFromCells(ComputeNodeCells(t, grid))
 }
 
 // BuildPositionFromCells constructs the position histogram of a node
@@ -67,24 +96,38 @@ func BuildTrue(t *xmltree.Tree, grid Grid) *Position {
 // build the estimator's construction pipeline uses: cells are computed
 // once per tree and shared across every predicate.
 func BuildPositionFromCells(nc *NodeCells, nodes []xmltree.NodeID) *Position {
-	h := NewPosition(nc.grid)
-	g := nc.grid.Size()
-	for _, id := range nodes {
-		h.cells[int(nc.I[id])*g+int(nc.J[id])]++
-	}
-	h.total = float64(len(nodes))
-	return h
+	return buildFromCells(nc, len(nodes), func(k int) int { return int(nodes[k]) })
 }
 
 // BuildTrueFromCells constructs the TRUE histogram from precomputed
 // node cells.
 func BuildTrueFromCells(nc *NodeCells) *Position {
+	return buildFromCells(nc, len(nc.I)-1, func(k int) int { return k + 1 })
+}
+
+// buildFromCells counts nodes id(0..n-1) into their cells. The sparse
+// cell list is published as a by-product, from the cells the nodes
+// touched, so a fresh histogram's first join does not scan the g×g
+// plane.
+func buildFromCells(nc *NodeCells, n int, id func(k int) int) *Position {
 	h := NewPosition(nc.grid)
 	g := nc.grid.Size()
-	for id := 1; id < len(nc.I); id++ {
-		h.cells[int(nc.I[id])*g+int(nc.J[id])]++
+	var touched []int
+	for k := 0; k < n; k++ {
+		node := id(k)
+		idx := int(nc.I[node])*g + int(nc.J[node])
+		if h.cells[idx] == 0 {
+			touched = append(touched, idx)
+		}
+		h.cells[idx]++
 	}
-	h.total = float64(len(nc.I) - 1)
+	h.total = float64(n)
+	slices.Sort(touched)
+	cells := make([]Cell, len(touched))
+	for x, idx := range touched {
+		cells[x] = Cell{I: idx / g, J: idx % g, Count: h.cells[idx]}
+	}
+	h.nz.Store(&cells)
 	return h
 }
 
@@ -93,12 +136,23 @@ func (h *Position) Grid() Grid { return h.grid }
 
 // Count returns the count in cell (i, j).
 func (h *Position) Count(i, j int) float64 {
+	if h.cells == nil {
+		cells := *h.nz.Load()
+		x, ok := slices.BinarySearchFunc(cells, i*h.grid.Size()+j, func(c Cell, idx int) int {
+			return cmp.Compare(c.I*h.grid.Size()+c.J, idx)
+		})
+		if !ok {
+			return 0
+		}
+		return cells[x].Count
+	}
 	return h.cells[i*h.grid.Size()+j]
 }
 
 // Add adds v to cell (i, j). v may be negative (used by estimation
 // intermediaries); totals are maintained.
 func (h *Position) Add(i, j int, v float64) {
+	h.densify()
 	h.cells[i*h.grid.Size()+j] += v
 	h.total += v
 	h.invalidate()
@@ -106,6 +160,7 @@ func (h *Position) Add(i, j int, v float64) {
 
 // Set overwrites cell (i, j).
 func (h *Position) Set(i, j int, v float64) {
+	h.densify()
 	idx := i*h.grid.Size() + j
 	h.total += v - h.cells[idx]
 	h.cells[idx] = v
@@ -128,16 +183,35 @@ func (h *Position) NonZero() int {
 	return len(h.NonZeroCells())
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy with a dense plane.
 func (h *Position) Clone() *Position {
-	out := &Position{grid: h.grid, cells: make([]float64, len(h.cells)), total: h.total}
-	copy(out.cells, h.cells)
+	out := &Position{grid: h.grid, cells: slices.Clone(h.cells), total: h.total}
+	if h.cells == nil {
+		out.nz.Store(h.nz.Load())
+		out.densify()
+		out.nz.Store(nil)
+	}
 	return out
 }
 
 // Scale multiplies every cell by f and returns the histogram for
-// chaining.
+// chaining. A sparse histogram stays sparse: cells scaled to zero
+// leave it.
 func (h *Position) Scale(f float64) *Position {
+	if h.cells == nil {
+		cells := *h.nz.Load()
+		kept := make([]Cell, 0, len(cells))
+		for _, c := range cells {
+			if c.Count *= f; c.Count != 0 {
+				kept = append(kept, c)
+			}
+		}
+		h.total *= f
+		h.sums.Store(nil)
+		h.sparse = kept
+		h.nz.Store(&h.sparse)
+		return h
+	}
 	for i := range h.cells {
 		h.cells[i] *= f
 	}

@@ -1,6 +1,7 @@
 package histogram
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestSumsMatchBruteForce(t *testing.T) {
 				check("Down", s.Down(i, j), down)
 				check("Right", s.Right(i, j), right)
 				check("Inside", s.Inside(i, j), inside)
-				check("Triangle", s.Triangle(i, j), tri)
+				check("Triangle", s.Region(i, j).Sum(), tri)
 			}
 		}
 		// Rect against brute rectangles, including clamped ranges.
@@ -263,7 +264,7 @@ func TestCoverageMatchesParentChainBruteForce(t *testing.T) {
 			pop := trueHist.Count(i, j)
 			for a, c := range byA {
 				m, n := a.split()
-				got := cov.Frac(i, j, m, n)
+				got := fracOf(cov, i, j, m, n)
 				wantF := c / pop
 				if diff := got - wantF; diff > 1e-12 || diff < -1e-12 {
 					t.Fatalf("trial %d: Frac(%d,%d,%d,%d) = %v, want %v", trial, i, j, m, n, got, wantF)
@@ -282,10 +283,11 @@ func TestCoverageMatchesParentChainBruteForce(t *testing.T) {
 // accumulation.
 func TestEachFracDeterministicOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
-	cov := NewCoverage(MustUniformGrid(6, 24))
-	for k := 0; k < 50; k++ {
-		cov.SetFrac(r.Intn(6), r.Intn(6), r.Intn(6), r.Intn(6), r.Float64())
+	entries := make([]CoverageEntry, 50)
+	for k := range entries {
+		entries[k] = CoverageEntry{r.Intn(6), r.Intn(6), r.Intn(6), r.Intn(6), r.Float64()}
 	}
+	cov := NewCoverageFromEntries(MustUniformGrid(6, 24), entries)
 	type quad struct{ i, j, m, n int }
 	var prev *quad
 	cov.EachFrac(func(i, j, m, n int, _ float64) {
@@ -299,4 +301,44 @@ func TestEachFracDeterministicOrder(t *testing.T) {
 		}
 		prev = &cur
 	})
+}
+
+// TestRegionsMatchSums: the plane-free partial sums equal the Sums
+// planes bit for bit, for built and fractional histograms, at every
+// upper-triangle query cell.
+func TestRegionsMatchSums(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		g := 1 + r.Intn(40)
+		h := NewPosition(MustUniformGrid(g, 4*g))
+		for k, n := 0, r.Intn(3*g); k < n; k++ {
+			i := r.Intn(g)
+			j := i + r.Intn(g-i)
+			if trial%2 == 0 {
+				h.Add(i, j, 1)
+			} else {
+				h.Set(i, j, r.ExpFloat64()/3)
+			}
+		}
+		var q []Cell
+		for i := 0; i < g; i++ {
+			for j := i; j < g; j++ {
+				if r.Intn(3) == 0 {
+					q = append(q, Cell{I: i, J: j})
+				}
+			}
+		}
+		out := make([]Region, len(q))
+		Regions(g, h.NonZeroCells(), q, out)
+		s := h.Sums()
+		for x, c := range q {
+			want := s.Region(c.I, c.J)
+			bits := func(r Region) [4]uint64 {
+				return [4]uint64{math.Float64bits(r.Self), math.Float64bits(r.Down), math.Float64bits(r.Right), math.Float64bits(r.Inside)}
+			}
+			if bits(out[x]) != bits(want) {
+				t.Fatalf("trial %d g=%d cell (%d,%d): %+v, Sums %+v", trial, g, c.I, c.J, out[x], want)
+			}
+		}
+	}
 }

@@ -2,6 +2,8 @@ package histogram
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"xmlest/internal/xmltree"
 )
@@ -56,6 +58,11 @@ func newSums(h *Position) *Sums {
 		prefix: make([]float64, (g+1)*(g+1)),
 	}
 	copy(s.self, h.cells)
+	if h.cells == nil {
+		for _, c := range h.NonZeroCells() {
+			s.self[c.I*g+c.J] = c.Count
+		}
+	}
 	// Pass 1: column partial sums (the Fig 9 pass 1 recurrence).
 	for i := 0; i < g; i++ {
 		for j := i + 1; j < g; j++ {
@@ -117,13 +124,93 @@ func (s *Sums) Rect(i0, i1, j0, j1 int) float64 {
 		s.prefix[(i1+1)*g1+j0] + s.prefix[i0*g1+j0]
 }
 
-// Triangle returns Σ_{m=i..j} Σ_{n=m..j} H[m][n] — the descendant-region
-// triangle the Fig 10 participation formula (case 2) sums over.
-func (s *Sums) Triangle(i, j int) float64 {
-	if i > j {
-		return 0
+// Region holds the partial sums of one cell (i, j) as Sums defines
+// them.
+type Region struct {
+	Self, Down, Right, Inside float64
+}
+
+// Region returns the partial sums of cell (i, j).
+func (s *Sums) Region(i, j int) Region {
+	return Region{Self: s.Self(i, j), Down: s.Down(i, j), Right: s.Right(i, j), Inside: s.Inside(i, j)}
+}
+
+// Sum returns Inside + Down + Right + Self: Σ_{m=i..j} Σ_{n=m..j} H[m][n],
+// the descendant-region triangle the Fig 10 participation formula
+// (case 2) sums over.
+func (r Region) Sum() float64 { return r.Inside + r.Down + r.Right + r.Self }
+
+type regionScratch struct {
+	down           []float64 // zero between uses
+	hStart, qStart []int32
+	hOrder, qOrder []int32
+}
+
+var regionPool = sync.Pool{New: func() any { return new(regionScratch) }}
+
+// Regions writes into out[x] the partial sums of a histogram at query
+// cell q[x], given the histogram's non-zero cells h; h and q are in
+// (i, j) order on a grid of g buckets, and every query lies on or above
+// the diagonal. The values are bit-identical to Sums', but no g×g plane
+// is built: one sweep over the end buckets keeps every start row's
+// running Down sum in a g-vector, and the queries of each end bucket
+// accumulate Right and Inside from the diagonal downward, adding the
+// same non-zero terms in the same order as the dense recurrences.
+// The cost is O(g + nnz) plus, per end bucket holding queries, its
+// distance to the lowest query start.
+func Regions(g int, h, q []Cell, out []Region) {
+	sc := regionPool.Get().(*regionScratch)
+	if len(sc.down) < g {
+		sc.down = make([]float64, g)
+		sc.hStart, sc.qStart = make([]int32, g+2), make([]int32, g+2)
 	}
-	return s.Inside(i, j) + s.Down(i, j) + s.Right(i, j) + s.Self(i, j)
+	sc.hOrder = byColumn(h, sc.hStart[:g+2], sc.hOrder)
+	sc.qOrder = byColumn(q, sc.qStart[:g+2], sc.qOrder)
+	down := sc.down[:g]
+	for j := 0; j < g; j++ {
+		hs := sc.hOrder[sc.hStart[j]:sc.hStart[j+1]]
+		qs := sc.qOrder[sc.qStart[j]:sc.qStart[j+1]]
+		var right, inside float64
+		hp, k := len(hs)-1, j
+		for x := len(qs) - 1; x >= 0; x-- {
+			i := q[qs[x]].I
+			for ; hp >= 0 && h[hs[hp]].I > i; hp-- {
+				right += h[hs[hp]].Count
+			}
+			for ; k > i; k-- {
+				inside += down[k]
+			}
+			r := Region{Down: down[i], Right: right, Inside: inside}
+			if hp >= 0 && h[hs[hp]].I == i {
+				r.Self = h[hs[hp]].Count
+			}
+			out[qs[x]] = r
+		}
+		for _, x := range hs {
+			down[h[x].I] += h[x].Count
+		}
+	}
+	clear(down)
+	regionPool.Put(sc)
+}
+
+// byColumn counting-sorts cell indices by end bucket into order (grown
+// as needed and returned), keeping (i, j) order within a bucket; column
+// j then spans order[start[j]:start[j+1]].
+func byColumn(cells []Cell, start, order []int32) []int32 {
+	clear(start)
+	for _, c := range cells {
+		start[c.J+2]++
+	}
+	for j := 2; j < len(start); j++ {
+		start[j] += start[j-1]
+	}
+	order = slices.Grow(order[:0], len(cells))[:len(cells)]
+	for x, c := range cells {
+		order[start[c.J+1]] = int32(x)
+		start[c.J+1]++
+	}
+	return order
 }
 
 // NodeCells is the precomputed grid cell (start bucket, end bucket) of

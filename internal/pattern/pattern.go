@@ -50,19 +50,30 @@ type Node struct {
 
 	// Children are the node's pattern children in syntax order.
 	Children []*Node
+
+	// pred caches PredName for parsed nodes; nodes built as literals
+	// resolve their name on every call.
+	pred string
 }
 
 // PredName resolves the node's test to a catalog predicate name: bare
 // tags become "tag=<name>", braced references are used verbatim, and
 // "*" names the TRUE predicate.
 func (n *Node) PredName() string {
+	if n.pred != "" {
+		return n.pred
+	}
+	return predName(n.Test)
+}
+
+func predName(test string) string {
 	switch {
-	case n.Test == "*":
+	case test == "*":
 		return "TRUE"
-	case strings.HasPrefix(n.Test, "{") && strings.HasSuffix(n.Test, "}"):
-		return n.Test[1 : len(n.Test)-1]
+	case strings.HasPrefix(test, "{") && strings.HasSuffix(test, "}"):
+		return test[1 : len(test)-1]
 	default:
-		return "tag=" + n.Test
+		return "tag=" + test
 	}
 }
 
@@ -211,7 +222,7 @@ func (p *parser) parseStep() (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{Test: test, Axis: axis}
+	n := &Node{Test: test, Axis: axis, pred: predName(test)}
 	for !p.eof() && p.peek() == '[' {
 		p.off++ // consume '['
 		if p.peek() == '.' {

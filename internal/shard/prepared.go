@@ -16,17 +16,18 @@ import (
 // every node that serves the same shards. The sum is computed once per
 // binding; later estimates return it without touching the shards.
 type Prepared struct {
-	set     *Set
-	p       *pattern.Pattern
-	key     core.Options // summaryKey of the options the queries were built for
-	queries []*core.PreparedQuery
+	set   *Set
+	p     *pattern.Pattern
+	key   core.Options // summaryKey of the options the queries were built for
+	names []string     // the pattern's distinct predicate names
 
-	// The first from queries are already folded into fromEst and
+	// queries are the per-shard queries still to fold, in shard order.
+	// The shards before them are already folded into fromEst and
 	// fromNoOv: they are carried over from an evaluated binding to an
 	// earlier set of which this set is an extension. The fold resumes
 	// after them in shard order, so it gives the same bits as folding
 	// from zero.
-	from     int
+	queries  []*core.PreparedQuery
 	fromEst  float64
 	fromNoOv bool
 
@@ -48,22 +49,25 @@ func (s *Set) Prepare(p *pattern.Pattern, opts core.Options) (*Prepared, error) 
 	if err := checkResolvable(sums, names); err != nil {
 		return nil, err
 	}
-	pr := &Prepared{set: s, p: p, key: summaryKey(opts), queries: make([]*core.PreparedQuery, 0, len(sums))}
-	return pr, pr.add(sums, names)
+	pr := &Prepared{set: s, p: p, key: summaryKey(opts), names: names, queries: make([]*core.PreparedQuery, 0, len(sums))}
+	for _, est := range sums {
+		if err := pr.add(est); err != nil {
+			return nil, err
+		}
+	}
+	return pr, nil
 }
 
-// add appends a query for every summary that resolves all names.
-func (pr *Prepared) add(sums []*core.Estimator, names []string) error {
-	for _, est := range sums {
-		if !hasAll(est, names) {
-			continue
-		}
-		q, err := est.PrepareShared(pr.p)
-		if err != nil {
-			return err
-		}
-		pr.queries = append(pr.queries, q)
+// add appends the query of a summary that resolves every name.
+func (pr *Prepared) add(est *core.Estimator) error {
+	if !hasAll(est, pr.names) {
+		return nil
 	}
+	q, err := est.PrepareShared(pr.p)
+	if err != nil {
+		return err
+	}
+	pr.queries = append(pr.queries, q)
 	return nil
 }
 
@@ -76,9 +80,9 @@ func (st *Store) PrepareSet(set *Set, p *pattern.Pattern, opts core.Options) (*P
 
 // Rebind is PrepareSet given prev, the pattern's binding to an earlier
 // set of this store (nil if none). When set keeps prev's shards as its
-// prefix — every append does — the new binding reuses prev's queries
-// and its evaluated sum and compiles only the appended shards, so a
-// rebind costs the new shards, not the whole set. Any other change
+// prefix — every append does — the new binding starts from prev's
+// evaluated sum and compiles only the appended shards, so a rebind
+// costs the new shards, not the whole set. Any other change
 // (compaction, drop, replication install) compiles the set afresh.
 // Both ways the estimate is the same shard-order sum, bit for bit.
 func (st *Store) Rebind(prev *Prepared, set *Set, p *pattern.Pattern, opts core.Options) (*Prepared, error) {
@@ -92,21 +96,21 @@ func (st *Store) Rebind(prev *Prepared, set *Set, p *pattern.Pattern, opts core.
 		return set.Prepare(p, opts)
 	}
 	tail := set.shards[len(prev.set.shards):]
-	sums := make([]*core.Estimator, len(tail))
-	for i, sh := range tail {
+	pr := &Prepared{
+		set: set, p: p, key: key, names: prev.names,
+		queries: make([]*core.PreparedQuery, 0, len(tail)),
+		fromEst: prev.est, fromNoOv: prev.noOv,
+	}
+	for _, sh := range tail {
 		est, err := sh.Summary(opts)
 		if err != nil {
 			return nil, err
 		}
-		sums[i] = est
+		if err := pr.add(est); err != nil {
+			return nil, err
+		}
 	}
-	pr := &Prepared{
-		set: set, p: p, key: key,
-		queries: make([]*core.PreparedQuery, len(prev.queries), len(prev.queries)+len(tail)),
-		from:    len(prev.queries), fromEst: prev.est, fromNoOv: prev.noOv,
-	}
-	copy(pr.queries, prev.queries)
-	return pr, pr.add(sums, patternNames(p))
+	return pr, nil
 }
 
 // extends reports whether s holds every shard of prev, in prev's order,
@@ -139,18 +143,17 @@ func (pr *Prepared) Estimate() (core.Result, error) {
 	return core.Result{Estimate: pr.est, UsedNoOverlap: pr.noOv, Elapsed: time.Since(start)}, nil
 }
 
-// eval evaluates the queries not carried over from an earlier binding,
-// in parallel across a GOMAXPROCS worker pool when that can pay for the
-// goroutine overhead — the expensive part of a cold bind — and then
-// folds their values in shard order. Errors are ignored by the parallel
-// pass and surface deterministically from the serial fold.
+// eval evaluates the queries, in parallel across a GOMAXPROCS worker
+// pool when that can pay for the goroutine overhead — the expensive
+// part of a cold bind — and then folds their values in shard order
+// onto the carried-over sum. Errors are ignored by the parallel pass
+// and surface deterministically from the serial fold.
 func (pr *Prepared) eval() {
-	fresh := pr.queries[pr.from:]
-	forEachParallel(len(fresh), func(i int) {
-		_, _, _ = fresh[i].Value()
+	forEachParallel(len(pr.queries), func(i int) {
+		_, _, _ = pr.queries[i].Value()
 	})
 	est, noOv := pr.fromEst, pr.fromNoOv
-	for _, q := range fresh {
+	for _, q := range pr.queries {
 		v, n, err := q.Value()
 		if err != nil {
 			pr.err = err

@@ -70,14 +70,24 @@ func TestRebindExtendsAppendedSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(step string, wantFrom int) {
+	// check rebinds prev to the current set. A carried binding starts
+	// from prev's sum and holds only the appended shards' queries (at
+	// most one per step); any other compiles every shard afresh.
+	check := func(step string, carried bool) {
 		t.Helper()
 		b, err := st.Rebind(prev, st.Current(), p, defaultOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.from != wantFrom {
-			t.Fatalf("%s: %d queries carried over, want %d", step, b.from, wantFrom)
+		full, err := st.Current().Prepare(p, defaultOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if carried && (b.fromEst != prev.est || len(b.queries) > 1) {
+			t.Fatalf("%s: carried %v with %d queries to fold, want %v and at most one", step, b.fromEst, len(b.queries), prev.est)
+		}
+		if !carried && (b.fromEst != 0 || len(b.queries) != len(full.queries)) {
+			t.Fatalf("%s: carried %v with %d queries to fold, want 0 and %d", step, b.fromEst, len(b.queries), len(full.queries))
 		}
 		got, err := b.Estimate()
 		if err != nil {
@@ -97,13 +107,13 @@ func TestRebindExtendsAppendedSet(t *testing.T) {
 		if _, err := st.AppendTree(doc(3+i, tas)); err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("append %d", i), len(prev.queries))
+		check(fmt.Sprintf("append %d", i), true)
 	}
 	if _, err := st.Compact(DefaultCompactionPolicy); err != nil {
 		t.Fatal(err)
 	}
-	check("compaction", 0)
-	check("unchanged set", len(prev.queries))
+	check("compaction", false)
+	check("unchanged set", true)
 }
 
 // TestServingStress races estimates against appends, drops and

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -524,11 +525,9 @@ func (s *Set) Summaries(opts core.Options) ([]core.ShardSummary, error) {
 // patternNames collects the distinct predicate names of a pattern.
 func patternNames(p *pattern.Pattern) []string {
 	nodes := p.Nodes()
-	seen := make(map[string]bool, len(nodes))
 	names := make([]string, 0, len(nodes))
 	for _, n := range nodes {
-		if name := n.PredName(); !seen[name] {
-			seen[name] = true
+		if name := n.PredName(); !slices.Contains(names, name) {
 			names = append(names, name)
 		}
 	}
