@@ -117,7 +117,6 @@ func TestNewEstimatorValidatesOptions(t *testing.T) {
 		{GridSize: -1},
 		{GridSize: 1 << 20},
 		{BuildWorkers: -3},
-		{QueryCacheSize: -1},
 	}
 	for _, opts := range bad {
 		if _, err := db.NewEstimator(opts); err == nil {

@@ -86,13 +86,6 @@ type Options struct {
 	// independent and deterministic, so the resulting estimator is
 	// identical for every worker count.
 	BuildWorkers int
-
-	// QueryCacheSize bounds the facade's compiled-query cache (the
-	// per-estimator memo that lets repeated Estimate calls skip parsing
-	// and binding). Zero means the default of 256; negative values are
-	// a configuration error (see Validate). It does not affect the
-	// built summaries.
-	QueryCacheSize int
 }
 
 // DefaultOptions mirror the paper's experimental setup.
@@ -100,8 +93,8 @@ var DefaultOptions = Options{GridSize: 10}
 
 // Validate reports configuration errors instead of letting bad values
 // surface as silent misbehaviour (or huge allocations) deep inside a
-// build. The zero value of every field is valid: zero GridSize,
-// BuildWorkers and QueryCacheSize select defaults.
+// build. The zero value of every field is valid: zero GridSize and
+// BuildWorkers select defaults.
 func (o Options) Validate() error {
 	if o.GridSize < 0 {
 		return fmt.Errorf("core: negative grid size %d (use 0 for the default of %d)", o.GridSize, DefaultOptions.GridSize)
@@ -111,9 +104,6 @@ func (o Options) Validate() error {
 	}
 	if o.BuildWorkers < 0 {
 		return fmt.Errorf("core: negative BuildWorkers %d (use 0 for GOMAXPROCS)", o.BuildWorkers)
-	}
-	if o.QueryCacheSize < 0 {
-		return fmt.Errorf("core: negative QueryCacheSize %d (use 0 for the default)", o.QueryCacheSize)
 	}
 	return nil
 }

@@ -24,8 +24,8 @@ import (
 // Wire types. Versions let clients reason about snapshot visibility:
 // an /append response's version is the first snapshot containing the
 // new shard, and any /estimate response with version >= it reflects
-// the appended documents — the append-to-visible contract xqbench
-// measures.
+// the appended documents — the append-to-visible contract that
+// TestAppendMakesDocumentsVisible checks.
 
 // EstimateRequest asks for one pattern or a batch. Pattern and
 // Patterns may be combined; Pattern is estimated first.
@@ -54,9 +54,11 @@ type EstimateResponse struct {
 // AppendResponse describes the landed shard and the first snapshot
 // version that serves it. On a durable daemon it also reports the
 // batch's write-ahead-log sequence and whether that record is already
-// fsynced — the ack-to-durable contract xqbench measures: under
-// -fsync always Durable is true in the ack itself; under interval/off
-// clients can poll /stats until durability.durable_seq reaches WALSeq.
+// fsynced — the ack-to-durable contract: under -fsync always Durable
+// is true in the ack itself (TestDurableServer; perfbench's
+// ingest-mixed recovers every acknowledged append after SIGKILL);
+// under interval/off clients can poll /stats until
+// durability.durable_seq reaches WALSeq.
 type AppendResponse struct {
 	ShardID uint64 `json:"shard_id"`
 	Docs    int    `json:"docs"`

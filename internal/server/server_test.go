@@ -474,7 +474,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Options: xmlest.Options{GridSize: -1}},
 		{Options: xmlest.Options{BuildWorkers: -2}},
-		{Options: xmlest.Options{QueryCacheSize: -1}},
 		{MaxInflightAppends: -1},
 		{MaxBatchPatterns: -1},
 		{AutoCompactInterval: -time.Second},

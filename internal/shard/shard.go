@@ -103,14 +103,12 @@ func (s *Shard) Catalog() *predicate.Catalog { return s.cat }
 // new predicate registrations, or be compacted.
 func (s *Shard) SummaryOnly() bool { return s.tree == nil }
 
-// summaryKey normalizes options into a summary cache key: fields that
-// cannot change the built summary (BuildWorkers — the parallel build is
-// deterministic — and QueryCacheSize, a facade-side cache bound) are
-// zeroed, so semantically identical estimators share one build per
-// shard.
+// summaryKey normalizes options into a summary cache key: BuildWorkers
+// cannot change the built summary (the parallel build is deterministic)
+// and is zeroed, so semantically identical estimators share one build
+// per shard.
 func summaryKey(opts core.Options) core.Options {
 	opts.BuildWorkers = 0
-	opts.QueryCacheSize = 0
 	return opts
 }
 
@@ -356,9 +354,37 @@ func forEachParallel(n int, fn func(i int)) {
 // contributes zero matches, but a predicate unknown to every shard is
 // an error (the monolithic "unknown predicate" behaviour).
 func (s *Set) Count(p *pattern.Pattern) (float64, error) {
-	// Summary-only shards are checked before predicate resolution: they
-	// carry no catalog, so resolving against them would misreport the
-	// problem as a missing predicate.
+	return s.sumCounts(p, func(sh *Shard) (float64, error) {
+		return match.CountTwig(sh.tree, p, func(name string) ([]xmltree.NodeID, error) {
+			e, err := sh.cat.Get(name)
+			if err != nil {
+				return nil, err
+			}
+			return e.Nodes, nil
+		})
+	})
+}
+
+// CountBudget is Count with a wall-clock budget, built for shadow
+// execution of sampled live queries. Each tree-backed shard's count
+// runs through the Volcano executor under the deadline instead of the
+// structural-join matcher, and the join order comes from the shard's
+// own summary via the planner — the paper's loop: the estimates under
+// scrutiny pick the order of their own verification. A summary-only
+// shard aborts with ErrSummaryOnly (the pattern is unverifiable, not
+// wrong); a blown deadline aborts with exec.ErrDeadline.
+func (s *Set) CountBudget(p *pattern.Pattern, opts core.Options, deadline time.Time) (float64, error) {
+	return s.sumCounts(p, func(sh *Shard) (float64, error) {
+		return sh.countBudget(p, opts, deadline)
+	})
+}
+
+// sumCounts is the exact-count loop behind Count and CountBudget: it
+// sums count over the shards that hold every predicate of p, in shard
+// order. Summary-only shards are checked before predicate resolution:
+// they carry no catalog, so resolving against them would misreport the
+// problem as a missing predicate.
+func (s *Set) sumCounts(p *pattern.Pattern, count func(*Shard) (float64, error)) (float64, error) {
 	for _, sh := range s.shards {
 		if sh.SummaryOnly() {
 			return 0, fmt.Errorf("shard: exact counting requires document-backed shards (shard %d is summary-only): %w", sh.id, ErrSummaryOnly)
@@ -378,72 +404,14 @@ func (s *Set) Count(p *pattern.Pattern) (float64, error) {
 		}
 	}
 	var total float64
+shards:
 	for _, sh := range s.shards {
-		missing := false
 		for _, name := range names {
 			if !sh.cat.Has(name) {
-				missing = true
-				break
+				continue shards
 			}
 		}
-		if missing {
-			continue
-		}
-		n, err := match.CountTwig(sh.tree, p, func(name string) ([]xmltree.NodeID, error) {
-			e, err := sh.cat.Get(name)
-			if err != nil {
-				return nil, err
-			}
-			return e.Nodes, nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// CountBudget is Count with a wall-clock budget, built for shadow
-// execution of sampled live queries. Each tree-backed shard's count
-// runs through the Volcano executor under the deadline instead of the
-// structural-join matcher, and the join order comes from the shard's
-// own summary via the planner — the paper's loop: the estimates under
-// scrutiny pick the order of their own verification. A summary-only
-// shard aborts with ErrSummaryOnly (the pattern is unverifiable, not
-// wrong); a blown deadline aborts with exec.ErrDeadline.
-func (s *Set) CountBudget(p *pattern.Pattern, opts core.Options, deadline time.Time) (float64, error) {
-	for _, sh := range s.shards {
-		if sh.SummaryOnly() {
-			return 0, fmt.Errorf("shard %d: %w", sh.id, ErrSummaryOnly)
-		}
-	}
-	names := patternNames(p)
-	for _, name := range names {
-		found := false
-		for _, sh := range s.shards {
-			if sh.cat != nil && sh.cat.Has(name) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return 0, fmt.Errorf("shard: no catalog entry for predicate %q in any shard", name)
-		}
-	}
-	var total float64
-	for _, sh := range s.shards {
-		missing := false
-		for _, name := range names {
-			if !sh.cat.Has(name) {
-				missing = true
-				break
-			}
-		}
-		if missing {
-			continue
-		}
-		n, err := sh.countBudget(p, opts, deadline)
+		n, err := count(sh)
 		if err != nil {
 			return 0, err
 		}

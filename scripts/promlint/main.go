@@ -16,6 +16,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -50,6 +51,19 @@ func baseName(name string) string {
 }
 
 func main() {
+	problems := lint(os.Stdin)
+	if len(problems) > 0 {
+		for _, p := range problems {
+			fmt.Fprintln(os.Stderr, "promlint:", p)
+		}
+		os.Exit(1)
+	}
+	fmt.Println("promlint: ok")
+}
+
+// lint reads one exposition and returns a line per problem found, or
+// none when it is clean.
+func lint(r io.Reader) []string {
 	fams := map[string]*family{}
 	buckets := map[string]*bucketState{} // keyed by family + label-set sans le
 	var problems []string
@@ -57,7 +71,7 @@ func main() {
 		problems = append(problems, fmt.Sprintf(format, args...))
 	}
 
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
 	for sc.Scan() {
@@ -164,8 +178,7 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "promlint: read:", err)
-		os.Exit(1)
+		fail("read: %v", err)
 	}
 
 	for name, f := range fams {
@@ -201,14 +214,7 @@ func main() {
 			fail("series %s: +Inf bucket %v != _count %v", key, st.last, st.count)
 		}
 	}
-
-	if len(problems) > 0 {
-		for _, p := range problems {
-			fmt.Fprintln(os.Stderr, "promlint:", p)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("promlint: ok (%d families)\n", len(fams))
+	return problems
 }
 
 // extractLE pulls the le label out of a label set, returning its value

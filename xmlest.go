@@ -574,15 +574,10 @@ type Estimator struct {
 	coreEst *core.Estimator
 }
 
-// compiledQueries returns the lazily-initialized compiled-query cache,
-// sized by Options.QueryCacheSize (0 means compiledCacheSize).
+// compiledQueries returns the lazily-initialized compiled-query cache.
 func (e *Estimator) compiledQueries() *cache.LRU[string, *PreparedQuery] {
 	e.compileOnce.Do(func() {
-		size := e.opts.QueryCacheSize
-		if size <= 0 {
-			size = compiledCacheSize
-		}
-		e.compiled = cache.New[string, *PreparedQuery](size)
+		e.compiled = cache.New[string, *PreparedQuery](compiledCacheSize)
 	})
 	return e.compiled
 }
@@ -596,7 +591,7 @@ const compiledCacheSize = 256
 // summarize new shards eagerly (off the estimation path).
 //
 // Options are validated first (see core.Options.Validate): a negative
-// GridSize, BuildWorkers or QueryCacheSize is a configuration error,
+// GridSize or BuildWorkers is a configuration error,
 // so a daemon booted with bad flags fails here rather than misbehaving
 // under load. Zero values select defaults.
 func (db *Database) NewEstimator(opts Options) (*Estimator, error) {
