@@ -1,7 +1,7 @@
-// Package cache provides a small, thread-safe, bounded LRU map used to
-// memoize pure estimation results: compiled queries on the facade and
-// folded sub-pattern joins in the core estimator. Values must be
-// immutable once inserted — hits hand back the stored value itself.
+// Package cache provides a small, thread-safe, bounded LRU map. The
+// facade uses it to memoize compiled queries by pattern source. Values
+// must be immutable once inserted — hits hand back the stored value
+// itself.
 package cache
 
 import "sync"

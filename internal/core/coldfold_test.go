@@ -56,7 +56,7 @@ func freshEstimators(tb testing.TB, tr *xmltree.Tree, g, n int) []*Estimator {
 // coldFold compiles the twig against a fresh summary and folds it: the
 // work the first estimate of a twig on a newly appended shard does.
 func coldFold(tb testing.TB, est *Estimator, p *pattern.Pattern) {
-	q, err := est.PrepareShared(p)
+	q, err := est.Prepare(p)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -88,10 +88,9 @@ func BenchmarkColdFold(b *testing.B) {
 }
 
 // maxColdFoldAllocs pins the allocations of a cold fold on a fresh
-// one-document shard at g=10: the compiled query and its memo entries,
-// the twig signature, and per join the two sparse result histograms
-// and the propagated coverage histogram.
-const maxColdFoldAllocs = 21
+// one-document shard at g=10: the compiled query, and per join the two
+// sparse result histograms and the propagated coverage histogram.
+const maxColdFoldAllocs = 14
 
 func TestColdFoldAllocs(t *testing.T) {
 	if raceEnabled {

@@ -29,23 +29,11 @@ type Estimator struct {
 	overlap  map[string]bool             // predicate name -> predicate may overlap
 	names    []string                    // stored order, for catalog-less estimators
 
-	// Memoization for hot query paths (see prepared.go): folded
-	// sub-pattern results keyed by canonical sub-twig signature, and
-	// parent-child edge ratios keyed by predicate pair. Both caches are
-	// lazily initialized and guarded for concurrent estimation; cached
-	// values are pure functions of the immutable histograms, so hits
-	// and misses produce identical estimates.
-	cacheOnce sync.Once
-	joinCache *joinLRU
-	ratioMu   sync.Mutex
-	ratios    map[[2]string]float64
-
-	// prepared memoizes compiled queries by *pattern.Pattern identity
-	// (see PrepareShared): sharded rebinds hit it once per shard per
-	// set change, so it must be a lock-free read. preparedN
-	// approximately counts entries for the wholesale-reset size bound.
-	prepared  sync.Map
-	preparedN atomic.Int64
+	// ratios memoizes parent-child edge ratios keyed by predicate pair
+	// (see childEdgeRatio), guarded for concurrent estimation; they are
+	// pure functions of the immutable histograms.
+	ratioMu sync.Mutex
+	ratios  map[[2]string]float64
 
 	// storageBytes caches StorageBytes (stored as total+1; 0 = unset).
 	// The histograms are immutable after construction, so the encoding
@@ -511,9 +499,9 @@ func (e *Estimator) EstimateTwig(p *pattern.Pattern) (Result, error) {
 // optimizers that need intermediate-result estimates: it returns the
 // SubPattern (estimate, participation, coverage) of the pattern,
 // anchored at its root. The returned position histograms are private
-// clones, so callers may mutate them without corrupting the
-// estimator's sub-twig join cache; coverage histograms are immutable
-// and shared.
+// clones, so callers may mutate them without corrupting the leaf
+// histograms a fold shares with the estimator; coverage histograms are
+// immutable and shared.
 func (e *Estimator) EstimateSubPattern(p *pattern.Pattern) (SubPattern, error) {
 	sp, _, err := e.buildSubPattern(p.Root)
 	if err != nil {
@@ -528,23 +516,10 @@ func (e *Estimator) EstimateSubPattern(p *pattern.Pattern) (SubPattern, error) {
 // buildSubPattern folds a pattern node's children into its leaf
 // sub-pattern with JoinAncestor, bottom-up. Parent-child edges are
 // scaled by the level-histogram ratio when level histograms are
-// available (see childEdgeRatio).
-//
-// Folded results for nodes with children are memoized in a bounded LRU
-// keyed by the sub-twig's canonical signature (see prepared.go): the
-// fold is a pure function of the immutable base histograms, so repeated
-// estimates of a hot twig — or of different twigs sharing a sub-twig —
-// skip the joins entirely. Cached sub-patterns are shared and must
-// never be mutated; joins only read their operands.
+// available (see childEdgeRatio). The fold is not memoized here: a
+// PreparedQuery keeps its root fold, and Estimator.EstimateTwig folds
+// afresh on every call.
 func (e *Estimator) buildSubPattern(q *pattern.Node) (SubPattern, bool, error) {
-	if len(q.Children) == 0 {
-		acc, err := e.leaf(q.PredName())
-		return acc, false, err
-	}
-	sig := subtreeSig(q)
-	if hit, ok := e.joins().Get(sig); ok {
-		return hit.sp, hit.noOv, nil
-	}
 	acc, err := e.leaf(q.PredName())
 	if err != nil {
 		return SubPattern{}, false, err
@@ -570,7 +545,6 @@ func (e *Estimator) buildSubPattern(q *pattern.Node) (SubPattern, bool, error) {
 		}
 		acc = joined
 	}
-	e.joins().Put(sig, cachedJoin{sp: acc, noOv: usedNoOverlap})
 	return acc, usedNoOverlap, nil
 }
 

@@ -225,7 +225,7 @@ func refLeaf(e *Estimator, name string) refSP {
 	return refSP{Est: h, Hist: h, Base: h, Cvg: refCvgOf(e.CoverageHistogram(name)), NoOverlap: e.NoOverlap(name)}
 }
 
-// refFold is the earlier buildSubPattern, without the join cache.
+// refFold is the dense-join transcription of buildSubPattern.
 func refFold(e *Estimator, q *pattern.Node) (refSP, bool) {
 	acc := refLeaf(e, q.PredName())
 	used := false

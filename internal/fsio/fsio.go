@@ -75,9 +75,9 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return f, nil
 }
 
-func (osFS) ReadFile(name string) ([]byte, error)  { return os.ReadFile(name) }
+func (osFS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name) }
 func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
-func (osFS) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }
+func (osFS) Stat(name string) (os.FileInfo, error)      { return os.Stat(name) }
 func (osFS) MkdirAll(path string, perm os.FileMode) error {
 	return os.MkdirAll(path, perm)
 }

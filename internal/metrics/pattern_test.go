@@ -80,9 +80,9 @@ func TestPatternStatsCollect(t *testing.T) {
 
 func TestNormalizePattern(t *testing.T) {
 	cases := map[string]string{
-		"//a//b":        "//a//b",
-		" //a//b\t":     "//a//b",
-		"//a   //b":     "//a //b",
+		"//a//b":         "//a//b",
+		" //a//b\t":      "//a//b",
+		"//a   //b":      "//a //b",
 		"//a\n//b[.//c]": "//a //b[.//c]",
 	}
 	for in, want := range cases {

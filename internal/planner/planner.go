@@ -57,9 +57,15 @@ func (p *Plan) String() string {
 // Enumerate returns every left-deep connected join order for the
 // pattern, with estimated intermediate sizes, sorted by ascending cost.
 // Patterns with more than MaxNodes nodes are rejected (factorial
-// enumeration).
+// enumeration). Each connected node set is estimated once: the
+// enumeration reaches the same set along many join orders.
 func Enumerate(est *core.Estimator, p *pattern.Pattern) ([]*Plan, error) {
-	const maxNodes = 8
+	return enumerate(p, memoInduced(est, p))
+}
+
+// enumerate is Enumerate with the size of each joined set given by
+// estimate.
+func enumerate(p *pattern.Pattern, estimate func(joined []*pattern.Node) (float64, error)) ([]*Plan, error) {
 	nodes := p.Nodes()
 	if len(nodes) > maxNodes {
 		return nil, fmt.Errorf("planner: pattern has %d nodes, max %d", len(nodes), maxNodes)
@@ -86,7 +92,7 @@ func Enumerate(est *core.Estimator, p *pattern.Pattern) ([]*Plan, error) {
 				continue
 			}
 			joined := append(append([]*pattern.Node{}, chosen...), cand)
-			size, err := estimateInduced(est, p, joined)
+			size, err := estimate(joined)
 			if err != nil {
 				// Estimation failures (missing predicate) abort the
 				// whole enumeration; record by panicking through error
@@ -102,7 +108,7 @@ func Enumerate(est *core.Estimator, p *pattern.Pattern) ([]*Plan, error) {
 		}
 	}
 	for _, first := range nodes {
-		size, err := estimateInduced(est, p, []*pattern.Node{first})
+		size, err := estimate([]*pattern.Node{first})
 		if err != nil {
 			return nil, err
 		}
@@ -114,6 +120,38 @@ func Enumerate(est *core.Estimator, p *pattern.Pattern) ([]*Plan, error) {
 	}
 	sort.SliceStable(plans, func(i, j int) bool { return plans[i].Cost < plans[j].Cost })
 	return plans, nil
+}
+
+// maxNodes bounds the pattern size Enumerate accepts; it also keeps a
+// set of pattern nodes within the bits of a uint.
+const maxNodes = 8
+
+// memoInduced returns estimateInduced memoized by the set of joined
+// nodes, as a bitmask of their pre-order indexes. The induced sub-twig
+// depends only on the set, not on the order it was joined in, so every
+// join order reaching a set shares one estimate (and one error).
+func memoInduced(est *core.Estimator, p *pattern.Pattern) func(joined []*pattern.Node) (float64, error) {
+	index := map[*pattern.Node]uint{}
+	for i, n := range p.Nodes() {
+		index[n] = uint(i)
+	}
+	type induced struct {
+		size float64
+		err  error
+	}
+	memo := map[uint]induced{}
+	return func(joined []*pattern.Node) (float64, error) {
+		var set uint
+		for _, n := range joined {
+			set |= 1 << index[n]
+		}
+		r, ok := memo[set]
+		if !ok {
+			r.size, r.err = estimateInduced(est, p, joined)
+			memo[set] = r
+		}
+		return r.size, r.err
+	}
 }
 
 // Best returns the cheapest plan.

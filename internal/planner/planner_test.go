@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"math"
 	"testing"
 
 	"xmlest/internal/core"
@@ -124,5 +125,73 @@ func TestEnumerateErrors(t *testing.T) {
 	big := pattern.MustParse("//a//b//c//d//e//f//g//h//i")
 	if _, err := Enumerate(est, big); err == nil {
 		t.Errorf("oversized pattern: want error")
+	}
+}
+
+// wideTwig is an 8-node DBLP twig, the widest Enumerate accepts: an
+// article with seven branches, so every node set containing the
+// article is connected and is reached along many join orders.
+const wideTwig = "//article[./author][./title][./year][./url][./cite][.//{conf}][.//{1990's}]"
+
+func dblpEstimator(tb testing.TB) *core.Estimator {
+	tb.Helper()
+	tr := datagen.GenerateDBLP(datagen.DBLPConfig{Seed: 2002, Scale: 0.05})
+	est, err := core.NewEstimator(datagen.DBLPCatalog(tr), core.Options{GridSize: 10})
+	if err != nil {
+		tb.Fatalf("NewEstimator: %v", err)
+	}
+	return est
+}
+
+// TestEnumerateMatchesUnmemoized checks the per-set memo against an
+// enumeration that estimates every step afresh: the plans must agree
+// in order, in cost and in every step's node and estimate, bit for bit.
+func TestEnumerateMatchesUnmemoized(t *testing.T) {
+	cases := []struct {
+		est *core.Estimator
+		src string
+	}{
+		{fig1Estimator(t), "//department//faculty[.//TA][.//RA]"},
+		{dblpEstimator(t), wideTwig},
+	}
+	for _, c := range cases {
+		p := pattern.MustParse(c.src)
+		got, err := Enumerate(c.est, p)
+		if err != nil {
+			t.Fatalf("%s: Enumerate: %v", c.src, err)
+		}
+		want, err := enumerate(p, func(joined []*pattern.Node) (float64, error) {
+			return estimateInduced(c.est, p, joined)
+		})
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.src, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d plans, reference %d", c.src, len(got), len(want))
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if math.Float64bits(g.Cost) != math.Float64bits(w.Cost) || len(g.Steps) != len(w.Steps) {
+				t.Fatalf("%s plan %d: cost %v with %d steps, reference %v with %d", c.src, i, g.Cost, len(g.Steps), w.Cost, len(w.Steps))
+			}
+			for k := range g.Steps {
+				gs, ws := g.Steps[k], w.Steps[k]
+				if gs.Added != ws.Added || math.Float64bits(gs.Estimate) != math.Float64bits(ws.Estimate) {
+					t.Fatalf("%s plan %d step %d: %s [%v], reference %s [%v]", c.src, i, k, gs.Added.Test, gs.Estimate, ws.Added.Test, ws.Estimate)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkEnumerate(b *testing.B) {
+	est := dblpEstimator(b)
+	p := pattern.MustParse(wideTwig)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Enumerate(est, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

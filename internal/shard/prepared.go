@@ -63,7 +63,7 @@ func (pr *Prepared) add(est *core.Estimator) error {
 	if !hasAll(est, pr.names) {
 		return nil
 	}
-	q, err := est.PrepareShared(pr.p)
+	q, err := est.Prepare(pr.p)
 	if err != nil {
 		return err
 	}

@@ -162,15 +162,6 @@ func (s *Shard) invalidateSummaries() {
 type Set struct {
 	version uint64
 	shards  []*Shard
-
-	// Per-set memo of the materialized summary slice (one entry per
-	// option set in practice): rebinding every compiled query after a
-	// set swap calls summaries once per pattern, and the memo turns all
-	// but the first into a mutex-guarded slice read instead of an
-	// O(shards) walk of per-shard summary locks.
-	sumsMu  sync.Mutex
-	sumsKey core.Options
-	sumsVal []*core.Estimator
 }
 
 // Version returns the snapshot's monotonically increasing version.
@@ -201,19 +192,10 @@ func (s *Set) TotalDocs() int {
 	return n
 }
 
-// summaries materializes every shard's estimator for opts, memoized
-// per set (summaries are deterministic per shard and options, so the
-// memo is semantically invisible). Callers must not modify the
-// returned slice.
+// summaries materializes every shard's estimator for opts, in shard
+// order. Each shard memoizes its own summaries (Shard.Summary), so this
+// is a walk over the shards, not a rebuild.
 func (s *Set) summaries(opts core.Options) ([]*core.Estimator, error) {
-	key := summaryKey(opts)
-	s.sumsMu.Lock()
-	if s.sumsVal != nil && s.sumsKey == key {
-		sums := s.sumsVal
-		s.sumsMu.Unlock()
-		return sums, nil
-	}
-	s.sumsMu.Unlock()
 	sums := make([]*core.Estimator, len(s.shards))
 	for i, sh := range s.shards {
 		est, err := sh.Summary(opts)
@@ -222,41 +204,23 @@ func (s *Set) summaries(opts core.Options) ([]*core.Estimator, error) {
 		}
 		sums[i] = est
 	}
-	s.sumsMu.Lock()
-	s.sumsKey, s.sumsVal = key, sums
-	s.sumsMu.Unlock()
 	return sums, nil
-}
-
-// invalidateSummariesMemo drops the memoized summary slice after
-// setup-time predicate registration rebuilt the shard catalogs (the
-// store clears per-shard caches at the same time).
-func (s *Set) invalidateSummariesMemo() {
-	s.sumsMu.Lock()
-	s.sumsVal = nil
-	s.sumsMu.Unlock()
 }
 
 // EstimateTwig estimates the answer size of a twig pattern as the sum
 // of per-shard estimates — exact composition, since no match spans two
 // documents. A shard lacking one of the pattern's predicates
-// contributes zero; a predicate unknown to every shard is an error.
-// Per-shard estimation fans out across a GOMAXPROCS worker pool on
-// wide sets; the sum always runs in shard order, so results are
-// bit-identical for every worker count.
+// contributes zero; a predicate unknown to every shard is an error. It
+// compiles the pattern against the set and evaluates it once (see
+// Prepare), so it sums in shard order and gives the same bits as a
+// compiled query for every worker count.
 func (s *Set) EstimateTwig(p *pattern.Pattern, opts core.Options) (core.Result, error) {
 	start := time.Now()
-	sums, err := s.summaries(opts)
+	pr, err := s.Prepare(p, opts)
 	if err != nil {
 		return core.Result{}, err
 	}
-	names := patternNames(p)
-	if err := checkResolvable(sums, names); err != nil {
-		return core.Result{}, err
-	}
-	out, err := sumFanOut(sums, names, func(est *core.Estimator) (core.Result, error) {
-		return est.EstimateTwig(p)
-	})
+	out, err := pr.Estimate()
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -265,7 +229,10 @@ func (s *Set) EstimateTwig(p *pattern.Pattern, opts core.Options) (core.Result, 
 }
 
 // EstimatePairPrimitive estimates anc//desc with the primitive
-// algorithm on every shard and sums.
+// algorithm on every shard that holds both predicates and sums. On wide
+// sets the per-shard estimates fan out across a GOMAXPROCS worker pool;
+// the sum runs in shard order, so the total is bit-identical for every
+// worker count.
 func (s *Set) EstimatePairPrimitive(ancName, descName string, opts core.Options) (core.Result, error) {
 	start := time.Now()
 	sums, err := s.summaries(opts)
@@ -276,31 +243,11 @@ func (s *Set) EstimatePairPrimitive(ancName, descName string, opts core.Options)
 	if err := checkResolvable(sums, names); err != nil {
 		return core.Result{}, err
 	}
-	out, err := sumFanOut(sums, names, func(est *core.Estimator) (core.Result, error) {
-		return est.EstimatePairPrimitive(ancName, descName)
-	})
-	if err != nil {
-		return core.Result{}, err
-	}
-	out.Elapsed = time.Since(start)
-	return out, nil
-}
-
-// sumFanOut runs fn over every summary that resolves all names and
-// sums the results in summary order. With enough participating
-// summaries, evaluation fans out across a GOMAXPROCS pool; the ordered
-// sum keeps the total bit-identical either way.
-func sumFanOut(sums []*core.Estimator, names []string, fn func(*core.Estimator) (core.Result, error)) (core.Result, error) {
-	able := make([]*core.Estimator, 0, len(sums))
-	for _, est := range sums {
-		if hasAll(est, names) {
-			able = append(able, est)
-		}
-	}
+	able := slices.DeleteFunc(sums, func(est *core.Estimator) bool { return !hasAll(est, names) })
 	results := make([]core.Result, len(able))
 	errs := make([]error, len(able))
 	forEachParallel(len(able), func(i int) {
-		results[i], errs[i] = fn(able[i])
+		results[i], errs[i] = able[i].EstimatePairPrimitive(ancName, descName)
 	})
 	out := core.Result{}
 	for i := range able {
@@ -308,8 +255,8 @@ func sumFanOut(sums []*core.Estimator, names []string, fn func(*core.Estimator) 
 			return core.Result{}, errs[i]
 		}
 		out.Estimate += results[i].Estimate
-		out.UsedNoOverlap = out.UsedNoOverlap || results[i].UsedNoOverlap
 	}
+	out.Elapsed = time.Since(start)
 	return out, nil
 }
 

@@ -258,8 +258,6 @@ func (st *Store) AddAllTagPredicates() int {
 			n, first = added, false
 		}
 	}
-	// Any memoized summary slice was built from the old catalogs.
-	st.Current().invalidateSummariesMemo()
 	return n
 }
 
@@ -277,5 +275,4 @@ func (st *Store) AddPredicates(preds ...predicate.Predicate) {
 		sh.cat.AddBatch(preds)
 		sh.invalidateSummaries()
 	}
-	st.Current().invalidateSummariesMemo()
 }
