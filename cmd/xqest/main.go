@@ -36,10 +36,8 @@
 //	xqest -data-dir /var/lib/xqest wal records
 //	xqest -data-dir /var/lib/xqest manifest
 //
-// Serving: `serve` runs the HTTP estimation daemon (internal/server,
-// same as the xqestd command) over the loaded database.
-//
-//	xqest -dataset dblp -addr :8080 -autocompact 30s serve
+// Serving is the xqestd command's job; `xqest -server URL stats`
+// introspects a running daemon.
 package main
 
 import (
@@ -50,14 +48,12 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"xmlest"
 	"xmlest/internal/accuracy"
 	"xmlest/internal/cliutil"
 	"xmlest/internal/pattern"
 	"xmlest/internal/planner"
-	"xmlest/internal/server"
 	"xmlest/internal/version"
 )
 
@@ -68,13 +64,10 @@ func main() {
 	grid := flag.Int("grid", 10, "histogram grid size g (gxg buckets)")
 	scale := flag.Float64("scale", 0.1, "built-in dataset scale")
 	seed := flag.Int64("seed", 2002, "built-in dataset seed")
-	summary := flag.String("summary", "", "summary file: estimate from it without loading data")
-	load := flag.String("load", "", "alias of -summary")
+	load := flag.String("load", "", "summary file: estimate from it without loading data")
 	save := flag.String("save", "", "after estimating, save the summary to this file")
 	out := flag.String("o", "summary.bin", "output file for the build command")
 	maxShards := flag.Int("max-shards", 0, "compact: target shard count (0 = policy default)")
-	addr := flag.String("addr", server.DefaultAddr, "serve: listen address")
-	autocompact := flag.Duration("autocompact", 0, "serve: background compaction interval (0 disables)")
 	dataDir := flag.String("data-dir", "", "wal/manifest: durable data directory to inspect")
 	serverURL := flag.String("server", "", "stats: base URL of a running daemon (e.g. http://127.0.0.1:8080) to introspect instead of local data")
 	rawMetrics := flag.Bool("metrics", false, "stats -server: dump the raw Prometheus exposition instead of the pretty summary")
@@ -92,9 +85,6 @@ func main() {
 		usage()
 	}
 	cmd := flag.Arg(0)
-	if *load != "" {
-		*summary = *load
-	}
 
 	// Daemon introspection: `xqest -server URL stats` pretty-prints a
 	// running daemon's /stats (or, with -metrics, dumps its raw
@@ -133,30 +123,9 @@ func main() {
 		return
 	}
 
-	// Serving from a saved summary needs no data: the daemon runs
-	// read-only, exactly like xqestd -load.
-	if *summary != "" && cmd == "serve" {
-		blob, err := os.ReadFile(*summary)
-		if err != nil {
-			fatal(err)
-		}
-		est, err := xmlest.LoadEstimator(blob)
-		if err != nil {
-			fatal(err)
-		}
-		srv, err := server.NewFromEstimator(est, server.Config{Addr: *addr, SnapshotPath: *save})
-		if err != nil {
-			fatal(err)
-		}
-		if err := cliutil.RunUntilSignal(srv, 15*time.Second); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	// Estimation from a saved summary needs no data at all.
-	if *summary != "" && cmd == "estimate" {
-		blob, err := os.ReadFile(*summary)
+	if *load != "" && cmd == "estimate" {
+		blob, err := os.ReadFile(*load)
 		if err != nil {
 			fatal(err)
 		}
@@ -169,18 +138,18 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("estimate: %.2f\nestimation time: %s\n(loaded from %s, %d bytes, %d shard(s))\n",
-			res.Estimate, res.Elapsed, *summary, len(blob), est.ShardCount())
+			res.Estimate, res.Elapsed, *load, len(blob), est.ShardCount())
 		return
 	}
 
 	var db *xmlest.Database
 	var err error
 	switch {
-	case cmd == "accuracy" && *summary != "":
+	case cmd == "accuracy" && *load != "":
 		// A summary blob holds histograms, not documents: there is no
 		// exact count to compare against, so accuracy evaluation over it
 		// would be circular. Refuse rather than silently score nothing.
-		fatal(fmt.Errorf("xqest: accuracy needs documents for exact counts; a summary (%s) cannot be verified — use -data, -dataset or -data-dir", *summary))
+		fatal(fmt.Errorf("xqest: accuracy needs documents for exact counts; a summary (%s) cannot be verified — use -data, -dataset or -data-dir", *load))
 	case cmd == "accuracy" && *dataDir != "":
 		db, err = cliutil.OpenDurableDatabase(*dataDir, xmlest.Options{GridSize: *grid}, cliutil.DurableFlags{})
 	default:
@@ -284,22 +253,6 @@ func main() {
 				fatal(err)
 			}
 			fmt.Printf("saved summary to %s (%d bytes)\n", *save, len(blob))
-		}
-	case "serve":
-		// Delegates to the internal/server daemon, so the CLI stays the
-		// one entry point for demos: xqest -dataset dblp serve
-		srv, err := server.New(db, server.Config{
-			Addr:                *addr,
-			Options:             xmlest.Options{GridSize: *grid},
-			AutoCompactInterval: *autocompact,
-			CompactionPolicy:    xmlest.CompactionPolicy{MaxShards: *maxShards},
-			SnapshotPath:        *save,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if err := cliutil.RunUntilSignal(srv, 15*time.Second); err != nil {
-			fatal(err)
 		}
 	case "accuracy":
 		if err := runAccuracy(os.Stdout, db, *grid, *twigs, *twigSeed, *jsonOut); err != nil {
@@ -441,10 +394,6 @@ commands:
   explain '<pattern>'   candidate join orders with intermediate estimates
   compact               merge small shards (size-tiered; -max-shards caps the count)
   drop <shard-id>       remove a shard from the serving set
-  serve                 run the HTTP estimation daemon on -addr (see xqestd;
-                        -autocompact 30s enables background compaction,
-                        -save persists the summary on shutdown,
-                        -load file serves a saved summary read-only)
   wal [records]         inspect a durable data directory's write-ahead log
                         (-data-dir dir; "records" lists every logged batch)
   manifest              inspect a durable data directory's checkpoint manifest

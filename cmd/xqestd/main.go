@@ -33,13 +33,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"xmlest"
@@ -233,9 +236,24 @@ func main() {
 		}()
 	}
 
-	if err := cliutil.RunUntilSignal(srv, *drain); err != nil {
+	if err := runUntilSignal(srv, *drain); err != nil {
 		fatal(err)
 	}
+}
+
+// runUntilSignal starts the daemon, blocks until SIGINT or SIGTERM,
+// then shuts it down gracefully within the drain budget.
+func runUntilSignal(srv *server.Server, drain time.Duration) error {
+	if _, err := srv.Start(); err != nil {
+		return err
+	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	s := <-sig
+	fmt.Fprintf(os.Stderr, "received %s: draining and shutting down\n", s)
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	return srv.Shutdown(ctx)
 }
 
 func fatal(err error) {

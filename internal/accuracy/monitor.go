@@ -67,7 +67,7 @@ type Monitor struct {
 	failed       atomic.Uint64
 	relErrBits   atomic.Uint64 // float64 bits of the summed relative error
 
-	qerr *metrics.FloatHistogram
+	qerr *metrics.Histogram
 
 	jobs      chan monitorJob
 	done      chan struct{}
@@ -96,7 +96,7 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 	}
 	m := &Monitor{
 		cfg:  cfg,
-		qerr: metrics.NewQErrorHistogram(),
+		qerr: metrics.NewHistogram(metrics.QErrorBounds),
 		jobs: make(chan monitorJob, cfg.QueueSize),
 		done: make(chan struct{}),
 	}
@@ -220,7 +220,7 @@ type MonitorSnapshot struct {
 	Failed       uint64 `json:"failed"`
 
 	// QError digests the verified estimates' q-errors.
-	QError metrics.FloatSummary `json:"qerror"`
+	QError metrics.Summary `json:"qerror"`
 	// MeanRelErr is the mean of |est-real| / max(real, 1) over
 	// verified estimates.
 	MeanRelErr float64 `json:"mean_rel_err"`
@@ -250,7 +250,7 @@ func (m *Monitor) Snapshot() MonitorSnapshot {
 func (m *Monitor) Collect(e *metrics.Expo) {
 	e.HistogramFamily("xqest_accuracy_qerror",
 		"Shadow-verified estimate q-error (max(est/real, real/est), add-one smoothed).")
-	e.FloatSamples("xqest_accuracy_qerror", m.qerr)
+	e.HistogramSamples("xqest_accuracy_qerror", m.qerr)
 	e.Counter("xqest_accuracy_sampled_total",
 		"Estimates sampled for shadow execution.", float64(m.sampled.Load()))
 	e.Counter("xqest_accuracy_dropped_total",

@@ -75,14 +75,14 @@ func ShowStats(w io.Writer, baseURL string) error {
 		}
 		fmt.Fprintf(w, "%-14s %10d %7d %8.1f %8.1fµ %8.1fµ %8.1fµ\n",
 			ep.Name, ep.Requests, ep.Errors, ep.QPS,
-			ep.Latency.P50USec, ep.Latency.P95USec, ep.Latency.P99USec)
+			ep.Latency.P50*1e6, ep.Latency.P95*1e6, ep.Latency.P99*1e6)
 	}
 
 	if len(st.Patterns) > 0 {
 		fmt.Fprintf(w, "\ntop patterns (%d untracked request(s) beyond these):\n", st.UntrackedPatterns)
 		for _, p := range st.Patterns {
 			fmt.Fprintf(w, "  %8d× %-40s est p50 %.0f  lat p50 %.1fµs",
-				p.Requests, p.Pattern, p.Estimate.P50, p.Latency.P50USec)
+				p.Requests, p.Pattern, p.Estimate.P50, p.Latency.P50*1e6)
 			if p.QError != nil {
 				fmt.Fprintf(w, "  qerr p50 %.2f max %.2f (%d verified)",
 					p.QError.P50, p.QError.Max, p.QError.Count)

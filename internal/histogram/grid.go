@@ -71,15 +71,6 @@ func NewGrid(bounds []int) (Grid, error) {
 	return Grid{bounds: own}, nil
 }
 
-// MustGrid is NewGrid for statically valid boundaries.
-func MustGrid(bounds []int) Grid {
-	grid, err := NewGrid(bounds)
-	if err != nil {
-		panic(err)
-	}
-	return grid
-}
-
 // MustUniformGrid is NewUniformGrid for statically valid arguments.
 func MustUniformGrid(g, maxPos int) Grid {
 	grid, err := NewUniformGrid(g, maxPos)

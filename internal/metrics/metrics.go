@@ -1,15 +1,12 @@
 // Package metrics instruments the serving layer: atomic request
-// counters and lock-free latency histograms, aggregated per endpoint
-// in a Registry whose Snapshot reports QPS and tail latency
-// (p50/p95/p99) for the daemon's /stats endpoint.
+// counters and lock-free histograms, aggregated per endpoint in a
+// Registry whose Snapshot reports QPS and latency digests for the
+// daemon's /stats endpoint, and a Prometheus text exposition (prom.go)
+// for /metrics.
 //
-// Latency histograms reuse the estimator's own histogram machinery for
-// bucketing: a histogram.Grid over log-spaced nanosecond boundaries
-// plays the role the position grid plays for interval labels, and
-// Grid.Bucket's binary search places each observation. Counts are
-// per-bucket atomics, so Observe is wait-free and safe under heavy
-// concurrent load; quantiles interpolate within the bucket holding the
-// requested rank.
+// There is one histogram type (histogram.go): a bucket array over
+// inclusive upper bounds, read by /stats as a Summary and by /metrics
+// as `_bucket{le=...}` series, in the same unit.
 package metrics
 
 import (
@@ -17,166 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"xmlest/internal/histogram"
 )
-
-// latencyGridBounds spans 1µs to ~67s (1µs·2^26) with doubling
-// (log-spaced) buckets, plus a catch-all first bucket for
-// sub-microsecond observations — 27 buckets. That keeps a histogram's
-// footprint at a few hundred bytes while bounding quantile error to
-// the bucket ratio (2×).
-func latencyGridBounds() []int {
-	bounds := []int{0}
-	// Arithmetic stays in int64: nanosecond bounds beyond ~2.1s
-	// overflow a 32-bit int, so on such platforms the ladder stops at
-	// the largest representable bound (longer observations clamp into
-	// the top bucket).
-	for ns := int64(time.Microsecond); ns <= int64(128*time.Second); ns *= 2 {
-		if ns > int64(maxInt) {
-			break
-		}
-		bounds = append(bounds, int(ns))
-	}
-	return bounds
-}
-
-const maxInt = int(^uint(0) >> 1)
-
-// latencyGrid is the shared bucket partition; grids are immutable, so
-// every histogram references the same one.
-var latencyGrid = histogram.MustGrid(latencyGridBounds())
-
-// LatencyHistogram is a fixed-bucket histogram of durations. All
-// methods are safe for concurrent use; Observe is wait-free.
-type LatencyHistogram struct {
-	grid    histogram.Grid
-	buckets []atomic.Uint64
-	count   atomic.Uint64
-	sumNS   atomic.Uint64
-	maxNS   atomic.Uint64
-}
-
-// NewLatencyHistogram returns a histogram over the default log-spaced
-// bucket partition (1µs..~67s, doubling).
-func NewLatencyHistogram() *LatencyHistogram {
-	return &LatencyHistogram{grid: latencyGrid, buckets: make([]atomic.Uint64, latencyGrid.Size())}
-}
-
-// Observe records one duration.
-func (h *LatencyHistogram) Observe(d time.Duration) {
-	// Clamp in int64 before converting: int(d) would overflow a 32-bit
-	// int for observations beyond ~2.1s and bucket them as 0ns.
-	ns64 := int64(d)
-	if ns64 < 0 {
-		ns64 = 0
-	}
-	if ns64 >= int64(h.grid.MaxPos()) {
-		ns64 = int64(h.grid.MaxPos()) - 1
-	}
-	h.buckets[h.grid.Bucket(int(ns64))].Add(1)
-	h.count.Add(1)
-	h.sumNS.Add(uint64(d))
-	for {
-		cur := h.maxNS.Load()
-		if uint64(d) <= cur || h.maxNS.CompareAndSwap(cur, uint64(d)) {
-			break
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *LatencyHistogram) Count() uint64 { return h.count.Load() }
-
-// LatencySummary is a point-in-time digest of a LatencyHistogram.
-// Quantiles are interpolated within buckets, so they carry the bucket
-// ratio (2×) as worst-case relative error.
-type LatencySummary struct {
-	Count    uint64        `json:"count"`
-	Mean     time.Duration `json:"mean_ns"`
-	P50      time.Duration `json:"p50_ns"`
-	P95      time.Duration `json:"p95_ns"`
-	P99      time.Duration `json:"p99_ns"`
-	Max      time.Duration `json:"max_ns"`
-	MeanUSec float64       `json:"mean_us"`
-	P50USec  float64       `json:"p50_us"`
-	P95USec  float64       `json:"p95_us"`
-	P99USec  float64       `json:"p99_us"`
-}
-
-// Summary digests the histogram. Concurrent Observes may land between
-// the per-bucket reads; the digest is internally consistent with the
-// counts it read.
-func (h *LatencyHistogram) Summary() LatencySummary {
-	counts := make([]uint64, len(h.buckets))
-	var total uint64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	s := LatencySummary{Count: total, Max: time.Duration(h.maxNS.Load())}
-	if total == 0 {
-		return s
-	}
-	s.Mean = time.Duration(h.sumNS.Load() / total)
-	s.P50 = h.quantile(counts, total, 0.50)
-	s.P95 = h.quantile(counts, total, 0.95)
-	s.P99 = h.quantile(counts, total, 0.99)
-	if s.Max > 0 {
-		// The top bucket's upper edge can exceed the largest observation
-		// by up to 2×; the tracked max is a tighter cap.
-		for _, q := range []*time.Duration{&s.P50, &s.P95, &s.P99} {
-			if *q > s.Max {
-				*q = s.Max
-			}
-		}
-	}
-	s.MeanUSec = float64(s.Mean) / float64(time.Microsecond)
-	s.P50USec = float64(s.P50) / float64(time.Microsecond)
-	s.P95USec = float64(s.P95) / float64(time.Microsecond)
-	s.P99USec = float64(s.P99) / float64(time.Microsecond)
-	return s
-}
-
-// Quantile returns the interpolated p-quantile (p in [0,1]) of the
-// observations, or 0 when the histogram is empty.
-func (h *LatencyHistogram) Quantile(p float64) time.Duration {
-	counts := make([]uint64, len(h.buckets))
-	var total uint64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	return h.quantile(counts, total, p)
-}
-
-// quantile walks the bucket counts to the one holding rank p*total and
-// interpolates linearly within its [Lo, Hi) extent.
-func (h *LatencyHistogram) quantile(counts []uint64, total uint64, p float64) time.Duration {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := p * float64(total)
-	var cum float64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if cum+float64(c) >= rank {
-			lo, hi := float64(h.grid.Lo(i)), float64(h.grid.Hi(i))
-			frac := (rank - cum) / float64(c)
-			return time.Duration(lo + (hi-lo)*frac)
-		}
-		cum += float64(c)
-	}
-	return time.Duration(h.grid.MaxPos())
-}
 
 // recentSlots sizes the per-second ring used for windowed QPS. It must
 // exceed recentWindow by enough slack that a slot is never both read
@@ -218,7 +56,7 @@ type Endpoint struct {
 	rejected atomic.Uint64
 	panics   atomic.Uint64
 	inflight atomic.Int64
-	lat      *LatencyHistogram
+	lat      *Histogram // seconds
 	// recent is a ring of per-second request counts packed as
 	// sec<<32|count (sec truncated to 32 bits), written lock-free by
 	// End and read by RecentQPS.
@@ -226,14 +64,11 @@ type Endpoint struct {
 }
 
 func newEndpoint(name string) *Endpoint {
-	return &Endpoint{name: name, created: time.Now(), lat: NewLatencyHistogram()}
+	return &Endpoint{name: name, created: time.Now(), lat: NewHistogram(LatencyBounds)}
 }
 
 // Name returns the endpoint's registered name.
 func (e *Endpoint) Name() string { return e.name }
-
-// Latency exposes the endpoint's latency histogram.
-func (e *Endpoint) Latency() *LatencyHistogram { return e.lat }
 
 // RecordPanic counts one recovered handler panic. The request itself
 // is also completed (as an Error) by the usual path; this counter
@@ -259,7 +94,7 @@ func (e *Endpoint) End(d time.Duration, now time.Time, o Outcome) {
 	case Rejected:
 		e.rejected.Add(1)
 	}
-	e.lat.Observe(d)
+	e.lat.Observe(d.Seconds())
 	e.tick(now.Unix())
 }
 
@@ -307,15 +142,15 @@ func (e *Endpoint) RecentQPS() float64 {
 
 // EndpointSnapshot is a point-in-time digest of one endpoint.
 type EndpointSnapshot struct {
-	Name      string         `json:"name"`
-	Requests  uint64         `json:"requests"`
-	Errors    uint64         `json:"errors"`
-	Rejected  uint64         `json:"rejected"`
-	Panics    uint64         `json:"panics,omitempty"`
-	Inflight  int64          `json:"inflight"`
-	QPS       float64        `json:"qps"`
-	RecentQPS float64        `json:"recent_qps"`
-	Latency   LatencySummary `json:"latency"`
+	Name      string  `json:"name"`
+	Requests  uint64  `json:"requests"`
+	Errors    uint64  `json:"errors"`
+	Rejected  uint64  `json:"rejected"`
+	Panics    uint64  `json:"panics,omitempty"`
+	Inflight  int64   `json:"inflight"`
+	QPS       float64 `json:"qps"`
+	RecentQPS float64 `json:"recent_qps"`
+	Latency   Summary `json:"latency"` // seconds
 }
 
 // Registry holds one Endpoint per name and digests them all at once.

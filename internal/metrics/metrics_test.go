@@ -6,62 +6,6 @@ import (
 	"time"
 )
 
-func TestLatencyHistogramQuantiles(t *testing.T) {
-	h := NewLatencyHistogram()
-	// 100 observations at 10µs, 900 at 1ms: p50 and p95 must land in
-	// the 1ms bucket, p05 in the 10µs one.
-	for i := 0; i < 100; i++ {
-		h.Observe(10 * time.Microsecond)
-	}
-	for i := 0; i < 900; i++ {
-		h.Observe(time.Millisecond)
-	}
-	if got := h.Count(); got != 1000 {
-		t.Fatalf("Count = %d, want 1000", got)
-	}
-	p05 := h.Quantile(0.05)
-	if p05 < 8*time.Microsecond || p05 > 16*time.Microsecond {
-		t.Errorf("p05 = %v, want within the 8-16µs bucket", p05)
-	}
-	for _, p := range []float64{0.5, 0.95} {
-		q := h.Quantile(p)
-		if q < 512*time.Microsecond || q > 2*time.Millisecond {
-			t.Errorf("q(%v) = %v, want within a 2x bucket of 1ms", p, q)
-		}
-	}
-	s := h.Summary()
-	if s.Max != time.Millisecond {
-		t.Errorf("Max = %v, want 1ms", s.Max)
-	}
-	if s.P99 > s.Max {
-		t.Errorf("P99 %v exceeds tracked max %v", s.P99, s.Max)
-	}
-	if s.Mean <= 100*time.Microsecond || s.Mean >= time.Millisecond {
-		t.Errorf("Mean = %v, want between 100µs and 1ms", s.Mean)
-	}
-}
-
-func TestLatencyHistogramEmptyAndExtremes(t *testing.T) {
-	h := NewLatencyHistogram()
-	if q := h.Quantile(0.99); q != 0 {
-		t.Errorf("empty quantile = %v, want 0", q)
-	}
-	if s := h.Summary(); s.Count != 0 || s.P99 != 0 {
-		t.Errorf("empty summary = %+v, want zeros", s)
-	}
-	// Out-of-range observations clamp into the edge buckets instead of
-	// panicking.
-	h.Observe(-time.Second)
-	h.Observe(time.Nanosecond)
-	h.Observe(10 * time.Minute)
-	if got := h.Count(); got != 3 {
-		t.Fatalf("Count = %d, want 3", got)
-	}
-	if q := h.Quantile(1.0); q > 10*time.Minute {
-		t.Errorf("q(1.0) = %v, want capped at the observed max", q)
-	}
-}
-
 func TestEndpointCountersAndErrors(t *testing.T) {
 	r := NewRegistry()
 	e := r.Endpoint("estimate")
@@ -165,5 +109,42 @@ func TestPanicCounter(t *testing.T) {
 	}
 	if s := r.Snapshot()[0]; s.Panics != 2 {
 		t.Errorf("snapshot panics = %d, want 2", s.Panics)
+	}
+}
+
+func TestRecentQPSAcrossIdleGaps(t *testing.T) {
+	e := newEndpoint("test")
+	now := time.Now().Unix()
+	e.created = time.Now().Add(-time.Hour) // old endpoint: no young-endpoint shortcut
+	// A burst 3 seconds ago, then silence: the ring must still hold the
+	// burst (it is within the window) but average it over the window.
+	for i := 0; i < 50; i++ {
+		e.tick(now - 3)
+	}
+	qps := e.RecentQPS()
+	want := 50.0 / recentWindow
+	if qps < want*0.99 || qps > want*1.01 {
+		t.Errorf("RecentQPS = %v, want ~%v (50 requests in a %ds window)", qps, want, int(recentWindow))
+	}
+	// A burst far older than the window must have aged out entirely,
+	// even with no intervening traffic to overwrite its slot.
+	e2 := newEndpoint("test2")
+	e2.created = time.Now().Add(-time.Hour)
+	for i := 0; i < 50; i++ {
+		e2.tick(now - int64(recentWindow) - 40)
+	}
+	if qps := e2.RecentQPS(); qps != 0 {
+		t.Errorf("RecentQPS after idle gap = %v, want 0 (burst aged out)", qps)
+	}
+	// Sparse traffic across the gap: one tagged second inside the
+	// window counts, stale slots from before it do not.
+	e3 := newEndpoint("test3")
+	e3.created = time.Now().Add(-time.Hour)
+	for i := 0; i < 20; i++ {
+		e3.tick(now - int64(recentWindow) - 40) // stale
+	}
+	e3.tick(now - 1) // fresh
+	if qps := e3.RecentQPS(); qps != 1.0/recentWindow {
+		t.Errorf("RecentQPS sparse = %v, want %v", qps, 1.0/recentWindow)
 	}
 }

@@ -28,12 +28,12 @@ type PatternStats struct {
 type patternEntry struct {
 	pattern string
 	count   atomic.Uint64
-	est     *ValueHistogram
-	lat     *LatencyHistogram
+	est     *Histogram // ValueBounds
+	lat     *Histogram // LatencyBounds, seconds
 	// qerr digests shadow-execution q-errors for the pattern. Created
 	// with the entry but only populated for patterns the accuracy
 	// monitor sampled and verified.
-	qerr *FloatHistogram
+	qerr *Histogram
 }
 
 // NewPatternStats returns a tracker holding at most maxTracked
@@ -65,8 +65,7 @@ func NormalizePattern(p string) string {
 }
 
 // Observe records one estimate for the pattern: the estimated answer
-// size (rounded to an integer for the magnitude histogram) and the
-// estimate-stage latency.
+// size and the estimate-stage latency.
 func (p *PatternStats) Observe(pat string, estimate float64, d time.Duration) {
 	pat = NormalizePattern(pat)
 	p.mu.RLock()
@@ -81,14 +80,14 @@ func (p *PatternStats) Observe(pat string, estimate float64, d time.Duration) {
 				p.other.Add(1)
 				return
 			}
-			ent = &patternEntry{pattern: pat, est: NewValueHistogram(), lat: NewLatencyHistogram(), qerr: NewQErrorHistogram()}
+			ent = &patternEntry{pattern: pat, est: NewHistogram(ValueBounds), lat: NewHistogram(LatencyBounds), qerr: NewHistogram(QErrorBounds)}
 			p.m[pat] = ent
 		}
 		p.mu.Unlock()
 	}
 	ent.count.Add(1)
-	ent.est.Observe(int(estimate + 0.5))
-	ent.lat.Observe(d)
+	ent.est.Observe(estimate)
+	ent.lat.Observe(d.Seconds())
 }
 
 // ObserveQError records one shadow-verified q-error for the pattern.
@@ -112,14 +111,14 @@ func (p *PatternStats) Untracked() uint64 { return p.other.Load() }
 
 // PatternSnapshot digests one tracked pattern.
 type PatternSnapshot struct {
-	Pattern  string         `json:"pattern"`
-	Requests uint64         `json:"requests"`
-	Estimate ValueSummary   `json:"estimate"`
-	Latency  LatencySummary `json:"latency"`
+	Pattern  string  `json:"pattern"`
+	Requests uint64  `json:"requests"`
+	Estimate Summary `json:"estimate"`
+	Latency  Summary `json:"latency"` // seconds
 	// QError digests the pattern's shadow-verified estimate error;
 	// absent until the accuracy monitor has verified at least one of
 	// the pattern's estimates.
-	QError *FloatSummary `json:"qerror,omitempty"`
+	QError *Summary `json:"qerror,omitempty"`
 }
 
 // Snapshot returns up to topK tracked patterns, most-requested first
@@ -174,8 +173,7 @@ func (p *PatternStats) Collect(e *Expo) {
 	}
 	e.Family("xqest_pattern_latency_seconds_sum", "counter", "Cumulative estimate-stage seconds per tracked pattern.")
 	for _, ent := range ents {
-		e.Sample("xqest_pattern_latency_seconds_sum",
-			float64(ent.lat.sumNS.Load())/float64(time.Second), "pattern", ent.pattern)
+		e.Sample("xqest_pattern_latency_seconds_sum", ent.lat.Sum(), "pattern", ent.pattern)
 	}
 	e.Family("xqest_pattern_latency_seconds_count", "counter", "Estimates timed per tracked pattern.")
 	for _, ent := range ents {
@@ -183,11 +181,7 @@ func (p *PatternStats) Collect(e *Expo) {
 	}
 	e.Family("xqest_pattern_estimate_mean", "gauge", "Mean estimated answer size per tracked pattern.")
 	for _, ent := range ents {
-		var mean float64
-		if n := ent.est.Count(); n > 0 {
-			mean = float64(ent.est.sum.Load()) / float64(n)
-		}
-		e.Sample("xqest_pattern_estimate_mean", mean, "pattern", ent.pattern)
+		e.Sample("xqest_pattern_estimate_mean", ent.est.Summary().Mean, "pattern", ent.pattern)
 	}
 	// Per-pattern q-error digests: only declared when some pattern has
 	// shadow-verified observations, so an exposition without accuracy

@@ -91,3 +91,36 @@ func TestNormalizePattern(t *testing.T) {
 		}
 	}
 }
+
+func TestPatternStatsQError(t *testing.T) {
+	p := NewPatternStats(2)
+	p.Observe("//a//b", 10, 0)
+	p.ObserveQError("//a//b", 1.5)
+	p.ObserveQError("//never//seen", 9) // untracked: dropped silently
+	snap := p.Snapshot(0)
+	if len(snap) != 1 {
+		t.Fatalf("snapshot len = %d, want 1", len(snap))
+	}
+	if snap[0].QError == nil || snap[0].QError.Count != 1 || snap[0].QError.Max != 1.5 {
+		t.Errorf("pattern q-error digest = %+v", snap[0].QError)
+	}
+
+	// Without any verified pattern the per-pattern q-error families are
+	// not declared (no sample-less families); with one they are.
+	empty := NewPatternStats(2)
+	empty.Observe("//a//b", 10, 0)
+	var buf bytes.Buffer
+	empty.Collect(NewExpo(&buf))
+	if strings.Contains(buf.String(), "xqest_pattern_qerror") {
+		t.Errorf("qerror families declared without verified observations:\n%s", buf.String())
+	}
+	buf.Reset()
+	p.Collect(NewExpo(&buf))
+	out := buf.String()
+	if !strings.Contains(out, `xqest_pattern_qerror_count{pattern="//a//b"} 1`) {
+		t.Errorf("missing per-pattern qerror count:\n%s", out)
+	}
+	if !strings.Contains(out, `xqest_pattern_qerror_mean{pattern="//a//b"} 1.5`) {
+		t.Errorf("missing per-pattern qerror mean:\n%s", out)
+	}
+}

@@ -139,64 +139,29 @@ func (e *Expo) Gauge(name, help string, value float64, labels ...string) {
 }
 
 // HistogramFamily declares a histogram family; emit its series with
-// LatencySamples or ValueSamples.
+// HistogramSamples.
 func (e *Expo) HistogramFamily(name, help string) {
 	e.Family(name, "histogram", help)
 }
 
-// LatencySamples writes one labeled series of a declared histogram
-// family from a LatencyHistogram: cumulative `_bucket{le="..."}` lines
-// with upper bounds in seconds, then `_sum` (seconds) and `_count`.
-// The +Inf bucket and _count reuse the summed bucket counts so the
-// series is internally consistent under concurrent Observes.
-func (e *Expo) LatencySamples(name string, h *LatencyHistogram, labels ...string) {
+// HistogramSamples writes one labeled series of a declared histogram
+// family: a cumulative `_bucket{le="b"}` line per bound (the count of
+// observations <= b), the +Inf bucket, then `_sum` and `_count`. The
+// +Inf bucket and _count reuse the summed bucket counts, so the series
+// is consistent under concurrent Observes.
+func (e *Expo) HistogramSamples(name string, h *Histogram, labels ...string) {
 	bucket := name + "_bucket"
 	withLE := append(append(make([]string, 0, len(labels)+2), labels...), "le", "")
 	var cum uint64
 	for i := range h.buckets {
 		cum += h.buckets[i].Load()
-		le := float64(h.grid.Hi(i)) / float64(time.Second)
-		withLE[len(withLE)-1] = strconv.FormatFloat(le, 'g', -1, 64)
+		if i < len(h.bounds) {
+			withLE[len(withLE)-1] = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
+		} else {
+			withLE[len(withLE)-1] = "+Inf"
+		}
 		e.appendSample(bucket, withLE, float64(cum))
 	}
-	withLE[len(withLE)-1] = "+Inf"
-	e.appendSample(bucket, withLE, float64(cum))
-	e.appendSample(name+"_sum", labels, float64(h.sumNS.Load())/float64(time.Second))
-	e.appendSample(name+"_count", labels, float64(cum))
-}
-
-// ValueSamples writes one labeled series of a declared histogram
-// family from a ValueHistogram (dimensionless upper bounds).
-func (e *Expo) ValueSamples(name string, h *ValueHistogram, labels ...string) {
-	bucket := name + "_bucket"
-	withLE := append(append(make([]string, 0, len(labels)+2), labels...), "le", "")
-	var cum uint64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		withLE[len(withLE)-1] = strconv.FormatFloat(float64(valueGrid.Hi(i)), 'g', -1, 64)
-		e.appendSample(bucket, withLE, float64(cum))
-	}
-	withLE[len(withLE)-1] = "+Inf"
-	e.appendSample(bucket, withLE, float64(cum))
-	e.appendSample(name+"_sum", labels, float64(h.sum.Load()))
-	e.appendSample(name+"_count", labels, float64(cum))
-}
-
-// FloatSamples writes one labeled series of a declared histogram
-// family from a FloatHistogram: cumulative `_bucket{le="..."}` lines
-// over its explicit bounds, then `_sum` and `_count`.
-func (e *Expo) FloatSamples(name string, h *FloatHistogram, labels ...string) {
-	bucket := name + "_bucket"
-	withLE := append(append(make([]string, 0, len(labels)+2), labels...), "le", "")
-	var cum uint64
-	for i := range h.bounds {
-		cum += h.buckets[i].Load()
-		withLE[len(withLE)-1] = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
-		e.appendSample(bucket, withLE, float64(cum))
-	}
-	cum += h.buckets[len(h.bounds)].Load()
-	withLE[len(withLE)-1] = "+Inf"
-	e.appendSample(bucket, withLE, float64(cum))
 	e.appendSample(name+"_sum", labels, h.Sum())
 	e.appendSample(name+"_count", labels, float64(cum))
 }
@@ -261,7 +226,7 @@ func (r *Registry) Collect(e *Expo) {
 
 	e.HistogramFamily("xqest_http_request_duration_seconds", "Request latency per endpoint.")
 	for _, ep := range eps {
-		e.LatencySamples("xqest_http_request_duration_seconds", ep.lat, "endpoint", ep.name)
+		e.HistogramSamples("xqest_http_request_duration_seconds", ep.lat, "endpoint", ep.name)
 	}
 }
 

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -78,51 +77,6 @@ func TestRegistryExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
-	}
-}
-
-func TestLatencySamplesBucketsMonotone(t *testing.T) {
-	r := NewRegistry()
-	h := NewLatencyHistogram()
-	for _, d := range []time.Duration{time.Microsecond, 50 * time.Microsecond,
-		time.Millisecond, 20 * time.Millisecond, time.Second} {
-		h.Observe(d)
-	}
-	r.Register(CollectorFunc(func(e *Expo) {
-		e.HistogramFamily("test_latency_seconds", "test")
-		e.LatencySamples("test_latency_seconds", h)
-	}))
-	var buf bytes.Buffer
-	if err := r.WriteExposition(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var prev float64 = -1
-	var seenInf bool
-	var count, bucketTotal float64
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.HasPrefix(line, "test_latency_seconds_bucket") {
-			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
-			if err != nil {
-				t.Fatalf("bad bucket line %q: %v", line, err)
-			}
-			if v < prev {
-				t.Errorf("bucket counts not monotone: %v after %v (%s)", v, prev, line)
-			}
-			prev = v
-			bucketTotal = v
-			if strings.Contains(line, `le="+Inf"`) {
-				seenInf = true
-			}
-		}
-		if strings.HasPrefix(line, "test_latency_seconds_count ") {
-			count, _ = strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
-		}
-	}
-	if !seenInf {
-		t.Error("no +Inf bucket emitted")
-	}
-	if count != 5 || bucketTotal != 5 {
-		t.Errorf("count = %v, +Inf bucket = %v, want 5 and 5", count, bucketTotal)
 	}
 }
 

@@ -589,8 +589,8 @@ func (s *Server) logFinalStats(ds *xmlest.DurabilityStats) {
 			"errors", ep.Errors,
 			"rejected", ep.Rejected,
 			"qps", ep.QPS,
-			"p50_us", ep.Latency.P50USec,
-			"p99_us", ep.Latency.P99USec)
+			"p50_s", ep.Latency.P50,
+			"p99_s", ep.Latency.P99)
 	}
 	attrs := []any{
 		"uptime", s.reg.Uptime().String(),

@@ -31,9 +31,9 @@ func (d *DurableStore) Collect(e *metrics.Expo) {
 	}
 
 	e.Family("xqest_group_commit_group_size", "histogram", "Append batches per commit group.")
-	e.ValueSamples("xqest_group_commit_group_size", d.groupSizes)
+	e.HistogramSamples("xqest_group_commit_group_size", d.groupSizes)
 	e.Family("xqest_commit_queue_wait_seconds", "histogram", "Wait from append arrival to durable commit.")
-	e.LatencySamples("xqest_commit_queue_wait_seconds", d.queueWait)
+	e.HistogramSamples("xqest_commit_queue_wait_seconds", d.queueWait)
 }
 
 // Collect exports the serving-set shape — shard count and set

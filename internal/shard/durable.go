@@ -144,14 +144,14 @@ type GroupCommitStats struct {
 	Groups  uint64 `json:"groups"`
 	Batches uint64 `json:"batches"`
 	// GroupSize digests per-group batch counts (p50/p95/max).
-	GroupSize metrics.ValueSummary `json:"group_size"`
+	GroupSize metrics.Summary `json:"group_size"`
 	// Fsyncs counts data fsyncs since open; FsyncsPerSec is the
 	// lifetime rate.
 	Fsyncs       uint64  `json:"fsyncs"`
 	FsyncsPerSec float64 `json:"fsyncs_per_sec"`
 	// QueueWait digests the time batches spend between submission and
-	// group formation — the latency cost of grouping.
-	QueueWait metrics.LatencySummary `json:"queue_wait"`
+	// group formation — the latency cost of grouping — in seconds.
+	QueueWait metrics.Summary `json:"queue_wait"`
 }
 
 // DurableStore wraps a Store with LSM-style durability: every append
@@ -205,8 +205,8 @@ type DurableStore struct {
 	ingestClosed  bool
 	ingestEnq     sync.WaitGroup // AppendDocs calls between closed-check and enqueue
 	ingestWorkers sync.WaitGroup // dispatched build goroutines
-	groupSizes    *metrics.ValueHistogram
-	queueWait     *metrics.LatencyHistogram
+	groupSizes    *metrics.Histogram
+	queueWait     *metrics.Histogram
 	openedAt      time.Time
 
 	// stages records per-stage durations of the append pipeline (queue
@@ -382,8 +382,8 @@ func OpenDurable(dir string, bootstrap func() (*Store, error), cfg DurableConfig
 	// the commit rate, not the append rate.
 	d.submitSlots = make(chan struct{}, 2)
 	d.ingestDelay = cfg.Commit.MaxDelay
-	d.groupSizes = metrics.NewValueHistogram()
-	d.queueWait = metrics.NewLatencyHistogram()
+	d.groupSizes = metrics.NewHistogram(metrics.ValueBounds)
+	d.queueWait = metrics.NewHistogram(metrics.LatencyBounds)
 	d.stages = trace.NewRecorder("xqest_append_stage_seconds",
 		"Append pipeline stage durations.", trace.AppendStages...)
 	d.openedAt = time.Now()
@@ -722,10 +722,10 @@ func (d *DurableStore) commitGroup(group []*wal.Pending) {
 			// Measured from the append batch's arrival at the ingest
 			// coalescer, so it covers the whole pre-commit wait a caller
 			// experiences (build queue + commit queue).
-			d.queueWait.Observe(now.Sub(at))
+			d.queueWait.Observe(now.Sub(at).Seconds())
 		}
 	}
-	d.groupSizes.Observe(members)
+	d.groupSizes.Observe(float64(members))
 
 	st := d.store
 	st.writeMu.Lock()

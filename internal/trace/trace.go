@@ -79,7 +79,7 @@ type Recorder struct {
 	family string
 	help   string
 	stages []Stage
-	hists  [NumStages]*metrics.LatencyHistogram
+	hists  [NumStages]*metrics.Histogram
 }
 
 // NewRecorder returns a recorder exporting the given stages as the
@@ -87,7 +87,7 @@ type Recorder struct {
 func NewRecorder(family, help string, stages ...Stage) *Recorder {
 	r := &Recorder{family: family, help: help, stages: stages}
 	for _, s := range stages {
-		r.hists[s] = metrics.NewLatencyHistogram()
+		r.hists[s] = metrics.NewHistogram(metrics.LatencyBounds)
 	}
 	return r
 }
@@ -98,11 +98,11 @@ func (r *Recorder) Observe(s Stage, d time.Duration) {
 	if r == nil || s >= NumStages || r.hists[s] == nil {
 		return
 	}
-	r.hists[s].Observe(d)
+	r.hists[s].Observe(d.Seconds())
 }
 
 // Histogram returns the stage's histogram (nil when not declared).
-func (r *Recorder) Histogram(s Stage) *metrics.LatencyHistogram {
+func (r *Recorder) Histogram(s Stage) *metrics.Histogram {
 	if r == nil || s >= NumStages {
 		return nil
 	}
@@ -114,7 +114,7 @@ func (r *Recorder) Histogram(s Stage) *metrics.LatencyHistogram {
 func (r *Recorder) Collect(e *metrics.Expo) {
 	e.HistogramFamily(r.family, r.help)
 	for _, s := range r.stages {
-		e.LatencySamples(r.family, r.hists[s], "stage", s.String())
+		e.HistogramSamples(r.family, r.hists[s], "stage", s.String())
 	}
 }
 

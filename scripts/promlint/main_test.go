@@ -23,14 +23,14 @@ func TestLiveRegistryLintsClean(t *testing.T) {
 		ep.Begin()
 		ep.End(time.Millisecond, time.Now(), metrics.Error)
 	}
-	stages := metrics.NewLatencyHistogram()
+	stages := metrics.NewHistogram(metrics.LatencyBounds)
 	for i := 0; i < 7; i++ {
-		stages.Observe(time.Duration(i) * time.Microsecond)
+		stages.Observe((time.Duration(i) * time.Microsecond).Seconds())
 	}
 	r.Register(metrics.CollectorFunc(func(e *metrics.Expo) {
 		e.HistogramFamily("xqest_test_stage_seconds", "Stage time by stage.")
-		e.LatencySamples("xqest_test_stage_seconds", stages, "stage", "plan")
-		e.LatencySamples("xqest_test_stage_seconds", stages, "stage", `es"ti\mate`)
+		e.HistogramSamples("xqest_test_stage_seconds", stages, "stage", "plan")
+		e.HistogramSamples("xqest_test_stage_seconds", stages, "stage", `es"ti\mate`)
 	}))
 	ps := metrics.NewPatternStats(0)
 	ps.Observe("//a//b", 3, time.Microsecond)
