@@ -561,8 +561,8 @@ func (w *bytesBuffer) Write(p []byte) (int, error) {
 }
 
 // BenchmarkFacadeEstimate times the public-API path end to end on a
-// hot query (the compiled-query cache absorbs the parse and the joins
-// after the first call).
+// hot query (the store's compiled-query memo absorbs the parse and the
+// joins after the first call).
 func BenchmarkFacadeEstimate(b *testing.B) {
 	b.ReportAllocs()
 	db := xmlest.FromCatalog(experiments.DBLP().Catalog)
@@ -579,7 +579,7 @@ func BenchmarkFacadeEstimate(b *testing.B) {
 }
 
 // BenchmarkCompiledEstimate times a PreparedQuery on a hot path — the
-// explicit Compile API the facade's cache is built from.
+// explicit Compile API, a handle on an entry of the store's memo.
 func BenchmarkCompiledEstimate(b *testing.B) {
 	b.ReportAllocs()
 	db := xmlest.FromCatalog(experiments.DBLP().Catalog)

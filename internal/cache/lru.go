@@ -1,5 +1,5 @@
 // Package cache provides a small, thread-safe, bounded LRU map. The
-// facade uses it to memoize compiled queries by pattern source. Values
+// shard store uses it to memoize compiled queries by pattern source. Values
 // must be immutable once inserted — hits hand back the stored value
 // itself.
 package cache
@@ -67,6 +67,26 @@ func (l *LRU[K, V]) Put(k K, v V) {
 	e := &entry[K, V]{key: k, value: v}
 	l.items[k] = e
 	l.pushFront(e)
+}
+
+// Values appends every stored value to dst, most recently used first,
+// without marking any of them used.
+func (l *LRU[K, V]) Values(dst []V) []V {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for e := l.root.next; e != &l.root; e = e.next {
+		dst = append(dst, e.value)
+	}
+	return dst
+}
+
+// Clear removes every entry.
+func (l *LRU[K, V]) Clear() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	clear(l.items)
+	l.root.prev = &l.root
+	l.root.next = &l.root
 }
 
 // Len returns the number of stored entries.

@@ -40,6 +40,30 @@ func TestLRUReplace(t *testing.T) {
 	}
 }
 
+func TestLRUValuesAndClear(t *testing.T) {
+	l := New[string, int](3)
+	l.Put("a", 1)
+	l.Put("b", 2)
+	l.Put("c", 3)
+	l.Get("a")
+	if got := fmt.Sprint(l.Values(nil)); got != "[1 3 2]" {
+		t.Fatalf("Values = %s, want [1 3 2] (most recent first)", got)
+	}
+	// Values marks nothing used: b stays least recent and goes first.
+	l.Put("d", 4)
+	if _, ok := l.Get("b"); ok {
+		t.Fatal("b survived eviction after Values")
+	}
+	l.Clear()
+	if l.Len() != 0 || len(l.Values(nil)) != 0 {
+		t.Fatalf("after Clear: Len %d, Values %v", l.Len(), l.Values(nil))
+	}
+	l.Put("e", 5)
+	if v, ok := l.Get("e"); !ok || v != 5 || l.Len() != 1 {
+		t.Fatalf("Put after Clear: %v, %v, Len %d", v, ok, l.Len())
+	}
+}
+
 func TestLRUMinimumCapacity(t *testing.T) {
 	l := New[int, int](0) // clamped to 1
 	l.Put(1, 1)

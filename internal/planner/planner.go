@@ -60,11 +60,22 @@ func (p *Plan) String() string {
 // enumeration). Each connected node set is estimated once: the
 // enumeration reaches the same set along many join orders.
 func Enumerate(est *core.Estimator, p *pattern.Pattern) ([]*Plan, error) {
-	return enumerate(p, memoInduced(est, p))
+	plans, err := enumerate(p, memoInduced(est, p))
+	if err != nil {
+		return nil, err
+	}
+	sortPlans(plans)
+	return plans, nil
+}
+
+// sortPlans orders plans by ascending cost, keeping enumeration order
+// among equal costs.
+func sortPlans(plans []*Plan) {
+	sort.SliceStable(plans, func(i, j int) bool { return plans[i].Cost < plans[j].Cost })
 }
 
 // enumerate is Enumerate with the size of each joined set given by
-// estimate.
+// estimate, in enumeration order (unsorted).
 func enumerate(p *pattern.Pattern, estimate func(joined []*pattern.Node) (float64, error)) ([]*Plan, error) {
 	nodes := p.Nodes()
 	if len(nodes) > maxNodes {
@@ -118,7 +129,6 @@ func enumerate(p *pattern.Pattern, estimate func(joined []*pattern.Node) (float6
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("planner: no estimable plans for %s", p)
 	}
-	sort.SliceStable(plans, func(i, j int) bool { return plans[i].Cost < plans[j].Cost })
 	return plans, nil
 }
 
@@ -154,13 +164,21 @@ func memoInduced(est *core.Estimator, p *pattern.Pattern) func(joined []*pattern
 	}
 }
 
-// Best returns the cheapest plan.
+// Best returns the cheapest plan: the first of minimum cost in
+// enumeration order, which is Enumerate's first plan without sorting
+// the rest.
 func Best(est *core.Estimator, p *pattern.Pattern) (*Plan, error) {
-	plans, err := Enumerate(est, p)
+	plans, err := enumerate(p, memoInduced(est, p))
 	if err != nil {
 		return nil, err
 	}
-	return plans[0], nil
+	best := plans[0]
+	for _, pl := range plans[1:] {
+		if pl.Cost < best.Cost {
+			best = pl
+		}
+	}
+	return best, nil
 }
 
 // containsNode reports membership.

@@ -166,6 +166,7 @@ func TestEnumerateMatchesUnmemoized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", c.src, err)
 		}
+		sortPlans(want)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d plans, reference %d", c.src, len(got), len(want))
 		}
@@ -184,6 +185,39 @@ func TestEnumerateMatchesUnmemoized(t *testing.T) {
 	}
 }
 
+// TestBestIsFirstEnumerated: Best's linear scan picks exactly the plan
+// the stable cost sort puts first — the same steps, estimates and cost.
+func TestBestIsFirstEnumerated(t *testing.T) {
+	cases := []struct {
+		est *core.Estimator
+		src string
+	}{
+		{fig1Estimator(t), "//department//faculty[.//TA][.//RA]"},
+		{dblpEstimator(t), wideTwig},
+	}
+	for _, c := range cases {
+		p := pattern.MustParse(c.src)
+		plans, err := Enumerate(c.est, p)
+		if err != nil {
+			t.Fatalf("%s: Enumerate: %v", c.src, err)
+		}
+		best, err := Best(c.est, p)
+		if err != nil {
+			t.Fatalf("%s: Best: %v", c.src, err)
+		}
+		want := plans[0]
+		if math.Float64bits(best.Cost) != math.Float64bits(want.Cost) || len(best.Steps) != len(want.Steps) {
+			t.Fatalf("%s: Best cost %v with %d steps, Enumerate[0] %v with %d", c.src, best.Cost, len(best.Steps), want.Cost, len(want.Steps))
+		}
+		for k := range best.Steps {
+			bs, ws := best.Steps[k], want.Steps[k]
+			if bs.Added != ws.Added || math.Float64bits(bs.Estimate) != math.Float64bits(ws.Estimate) {
+				t.Fatalf("%s step %d: Best %s [%v], Enumerate[0] %s [%v]", c.src, k, bs.Added.Test, bs.Estimate, ws.Added.Test, ws.Estimate)
+			}
+		}
+	}
+}
+
 func BenchmarkEnumerate(b *testing.B) {
 	est := dblpEstimator(b)
 	p := pattern.MustParse(wideTwig)
@@ -191,6 +225,18 @@ func BenchmarkEnumerate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Enumerate(est, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkBest(b *testing.B) {
+	est := dblpEstimator(b)
+	p := pattern.MustParse(wideTwig)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Best(est, p); err != nil {
 			b.Fatal(err)
 		}
 	}

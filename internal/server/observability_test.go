@@ -50,7 +50,7 @@ func TestMetricsExposition(t *testing.T) {
 		`xqest_estimate_stage_seconds_count{stage="decode"} 3`,
 		`xqest_estimate_stage_seconds_count{stage="estimate"} 3`,
 		`xqest_estimate_stage_seconds_count{stage="encode"} 3`,
-		// Traced requests share the estimator's compiled-query cache:
+		// Traced requests share the store's compiled-query memo:
 		// three sampled requests for one pattern bind it once.
 		"xqest_prepare_fanout_total 1\n",
 		"xqest_shards ",

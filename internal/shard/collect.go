@@ -37,10 +37,12 @@ func (d *DurableStore) Collect(e *metrics.Expo) {
 }
 
 // Collect exports the serving-set shape — shard count and set
-// version — and the number of compiled-query bindings.
+// version — and the number of compiled-query bindings, on demand and
+// warmed by publish.
 func (st *Store) Collect(e *metrics.Expo) {
 	set := st.Current()
 	e.Gauge("xqest_shards", "Shards in the serving set.", float64(set.Len()))
 	e.Gauge("xqest_set_version", "Serving-set version.", float64(set.version))
-	e.Counter("xqest_prepare_fanout_total", "Pattern bindings compiled against a shard set.", float64(st.prepFanout.Load()))
+	e.Counter("xqest_prepare_fanout_total", "Pattern bindings compiled against a shard set on demand.", float64(st.prepFanout.Load()))
+	e.Counter("xqest_prepare_warmed_total", "Pattern bindings compiled against a shard set before it was published.", float64(st.prepWarmed.Load()))
 }

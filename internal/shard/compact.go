@@ -164,7 +164,7 @@ func (st *Store) Compact(policy CompactionPolicy) (int, error) {
 			next = append(next, sh)
 		}
 		merged.installedAt = cur.version + 1
-		st.install(next, cur)
+		st.install(next, cur.version+1)
 		st.writeMu.Unlock()
 		return len(group), nil
 	}

@@ -33,5 +33,5 @@ func SetFromSummaries(sums ...core.ShardSummary) *Set {
 	for i, ss := range sums {
 		shards[i] = &Shard{id: ss.ID, docs: ss.Docs, nodes: ss.Nodes, prebuilt: ss.Est}
 	}
-	return &Set{version: 1, shards: shards}
+	return &Set{version: 1, shards: shards, lineage: newLineage()}
 }

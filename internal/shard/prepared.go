@@ -73,7 +73,7 @@ func (pr *Prepared) add(est *core.Estimator) error {
 
 // PrepareSet is Set.Prepare for a set of this store, counted in
 // xqest_prepare_fanout_total so a scrape shows how often compiled
-// queries rebind.
+// queries bind on demand rather than before publish (see Store.warm).
 func (st *Store) PrepareSet(set *Set, p *pattern.Pattern, opts core.Options) (*Prepared, error) {
 	return st.Rebind(nil, set, p, opts)
 }
@@ -83,21 +83,26 @@ func (st *Store) PrepareSet(set *Set, p *pattern.Pattern, opts core.Options) (*P
 // prefix — every append does — the new binding starts from prev's
 // evaluated sum and compiles only the appended shards, so a rebind
 // costs the new shards, not the whole set. Any other change
-// (compaction, drop, replication install) compiles the set afresh.
+// (compaction, drop, replica snapshot) compiles the set afresh.
 // Both ways the estimate is the same shard-order sum, bit for bit.
 func (st *Store) Rebind(prev *Prepared, set *Set, p *pattern.Pattern, opts core.Options) (*Prepared, error) {
 	st.prepFanout.Add(1)
+	return set.rebind(prev, p, opts)
+}
+
+// rebind is Rebind, uncounted.
+func (s *Set) rebind(prev *Prepared, p *pattern.Pattern, opts core.Options) (*Prepared, error) {
 	key := summaryKey(opts)
-	if prev == nil || prev.p != p || prev.key != key || !set.extends(prev.set) {
-		return set.Prepare(p, opts)
+	if prev == nil || prev.p != p || prev.key != key || !s.extends(prev.set) {
+		return s.Prepare(p, opts)
 	}
 	prev.once.Do(prev.eval)
 	if prev.err != nil {
-		return set.Prepare(p, opts)
+		return s.Prepare(p, opts)
 	}
-	tail := set.shards[len(prev.set.shards):]
+	tail := s.shards[len(prev.set.shards):]
 	pr := &Prepared{
-		set: set, p: p, key: key, names: prev.names,
+		set: s, p: p, key: key, names: prev.names,
 		queries: make([]*core.PreparedQuery, 0, len(tail)),
 		fromEst: prev.est, fromNoOv: prev.noOv,
 	}
@@ -114,17 +119,13 @@ func (st *Store) Rebind(prev *Prepared, set *Set, p *pattern.Pattern, opts core.
 }
 
 // extends reports whether s holds every shard of prev, in prev's order,
-// as its prefix.
+// as its prefix: sets of one lineage form a chain of appends, so that
+// is "same lineage and not shorter". A swap that starts a new lineage
+// may still keep its predecessor's shards as a prefix (a snapshot
+// installed over an empty set); extends then reports false, which
+// costs that rebind its head start and nothing else.
 func (s *Set) extends(prev *Set) bool {
-	if prev == nil || len(s.shards) < len(prev.shards) {
-		return false
-	}
-	for i, sh := range prev.shards {
-		if s.shards[i] != sh {
-			return false
-		}
-	}
-	return true
+	return prev != nil && s.lineage == prev.lineage && len(s.shards) >= len(prev.shards)
 }
 
 // Set returns the shard set the query was prepared against, so callers

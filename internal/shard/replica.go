@@ -146,17 +146,15 @@ func (d *DurableStore) ApplyReplicated(recs []wal.Record) error {
 			return err
 		}
 	}
-	prev := st.Current().shards
-	next := make([]*Shard, 0, len(prev)+len(recs))
-	next = append(next, prev...)
+	installed := make([]*Shard, 0, len(shs))
 	for i, sh := range shs {
 		if sh == nil {
 			continue
 		}
 		sh.installedAt = recs[i].Version
-		next = append(next, sh)
+		installed = append(installed, sh)
 	}
-	st.replaceLocked(next, recs[len(recs)-1].Version)
+	st.extendLocked(installed, recs[len(recs)-1].Version)
 	return nil
 }
 
@@ -238,7 +236,7 @@ func (d *DurableStore) ApplySnapshot(man *manifest.Manifest, files map[string][]
 	}
 
 	st.writeMu.Lock()
-	st.replaceLocked(shs, man.Version)
+	st.install(shs, man.Version)
 	st.writeMu.Unlock()
 
 	d.files = make(map[uint64]manifest.Shard, len(entries))

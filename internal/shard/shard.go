@@ -162,7 +162,18 @@ func (s *Shard) invalidateSummaries() {
 type Set struct {
 	version uint64
 	shards  []*Shard
+	// lineage names the chain of appends the set belongs to: a set made
+	// by appending to the serving set (or by raising its version) keeps
+	// its lineage, and every other swap starts a new one. Two sets of
+	// one lineage therefore differ only by appended shards (see extends).
+	lineage uint64
 }
+
+// lineages numbers set lineages, unique across every store of the
+// process.
+var lineages atomic.Uint64
+
+func newLineage() uint64 { return lineages.Add(1) }
 
 // Version returns the snapshot's monotonically increasing version.
 func (s *Set) Version() uint64 { return s.version }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"xmlest/internal/cache"
 	"xmlest/internal/core"
 	"xmlest/internal/predicate"
 	"xmlest/internal/xmltree"
@@ -29,20 +30,39 @@ type Store struct {
 	activeMu sync.Mutex
 	active   map[core.Options]struct{}
 
-	writeMu sync.Mutex // serializes set swaps (Append, Drop, Compact)
+	writeMu sync.Mutex // serializes set swaps (every publish)
 	cur     atomic.Pointer[Set]
 	nextID  atomic.Uint64
 
-	// prepFanout counts PrepareSet bindings (exported by Collect, see
-	// collect.go).
+	// queries is the compiled-query memo shared by every estimator and
+	// compiled handle over this store (see compiled.go).
+	queries *cache.LRU[queryKey, *Query]
+
+	// prepFanout counts bindings compiled on demand (PrepareSet, Rebind)
+	// and prepWarmed those compiled by publish before a set became
+	// visible (both exported by Collect, see collect.go).
 	prepFanout atomic.Uint64
+	prepWarmed atomic.Uint64
 }
 
 // NewStore returns a store with an empty shard set and the given
 // predicate recipe.
 func NewStore(spec predicate.Spec) *Store {
-	st := &Store{spec: spec, active: make(map[core.Options]struct{})}
-	st.cur.Store(&Set{version: 1})
+	return storeOf(spec, &Set{version: 1, lineage: newLineage()})
+}
+
+// StoreOf returns a store serving set, for a set loaded from a summary
+// blob: nothing is ever appended to it, but its estimators share one
+// compiled-query memo as a live store's do.
+func StoreOf(set *Set) *Store { return storeOf(predicate.Spec{}, set) }
+
+func storeOf(spec predicate.Spec, set *Set) *Store {
+	st := &Store{
+		spec:    spec,
+		active:  make(map[core.Options]struct{}),
+		queries: cache.New[queryKey, *Query](compiledCacheSize),
+	}
+	st.cur.Store(set)
 	return st
 }
 
@@ -108,23 +128,39 @@ func (st *Store) newShard(tree *xmltree.Tree, cat *predicate.Catalog) (*Shard, e
 	return sh, nil
 }
 
-// install publishes next as the serving set at the version after
-// prev's.
-func (st *Store) install(next []*Shard, prev *Set) {
-	st.cur.Store(&Set{version: prev.version + 1, shards: next})
+// publish makes next the serving set. Every set swap goes through it,
+// under writeMu: first it binds the compiled queries read since the
+// previous publish to next (see warm), so those costs fall on the
+// writer that built next and not on the next reader of each query.
+func (st *Store) publish(next *Set) {
+	st.warm(next)
+	st.cur.Store(next)
+}
+
+// install publishes shards as the serving set at version, in a new
+// lineage: drops, compactions and replica snapshots, which do not keep
+// the previous set as their prefix. The caller must hold writeMu and
+// must have stamped each new shard's installedAt.
+func (st *Store) install(shards []*Shard, version uint64) {
+	st.publish(&Set{version: version, shards: shards, lineage: newLineage()})
+}
+
+// extendLocked publishes the serving set's shards followed by shs at
+// version, in the serving set's lineage — the one publish body shared
+// by plain, durable, group-committed, replicated and recovered
+// appends. The caller must hold writeMu and have stamped each shard's
+// installedAt.
+func (st *Store) extendLocked(shs []*Shard, version uint64) {
+	prev := st.Current()
+	next := make([]*Shard, 0, len(prev.shards)+len(shs))
+	next = append(append(next, prev.shards...), shs...)
+	st.publish(&Set{version: version, shards: next, lineage: prev.lineage})
 }
 
 // appendLocked installs sh at the end of the serving set, stamping its
-// visibility watermark. The caller must hold writeMu — the one install
-// body shared by plain appends, durable appends (which interleave the
-// WAL write before it) and recovery.
+// visibility watermark. The caller must hold writeMu.
 func (st *Store) appendLocked(sh *Shard) {
-	prev := st.Current()
-	next := make([]*Shard, 0, len(prev.shards)+1)
-	next = append(next, prev.shards...)
-	next = append(next, sh)
-	sh.installedAt = prev.version + 1
-	st.install(next, prev)
+	st.appendGroupLocked([]*Shard{sh})
 }
 
 // appendGroupLocked installs a group of shards at consecutive versions
@@ -137,34 +173,24 @@ func (st *Store) appendLocked(sh *Shard) {
 // The caller must hold writeMu.
 func (st *Store) appendGroupLocked(shs []*Shard) {
 	prev := st.Current()
-	next := make([]*Shard, 0, len(prev.shards)+len(shs))
-	next = append(next, prev.shards...)
 	for i, sh := range shs {
 		sh.installedAt = prev.version + uint64(i) + 1
-		next = append(next, sh)
 	}
-	st.cur.Store(&Set{version: prev.version + uint64(len(shs)), shards: next})
-}
-
-// replaceLocked publishes shards as the whole serving set at an
-// explicit version — the replication install: versions come from the
-// leader's records and snapshots, not the local counter. The caller
-// must hold writeMu and must have stamped each shard's installedAt.
-func (st *Store) replaceLocked(shards []*Shard, version uint64) {
-	st.cur.Store(&Set{version: version, shards: shards})
+	st.extendLocked(shs, prev.version+uint64(len(shs)))
 }
 
 // setMinVersion raises the serving set's version to at least v without
-// changing membership. The durable layer uses it during recovery so
-// the version watermark clients observed before a crash never
-// regresses: checkpoint loading jumps to the manifest's pinned version
-// and each replayed batch re-installs at its original ack version.
+// changing membership (or lineage). The durable layer uses it during
+// recovery so the version watermark clients observed before a crash
+// never regresses: checkpoint loading jumps to the manifest's pinned
+// version and each replayed batch re-installs at its original ack
+// version.
 func (st *Store) setMinVersion(v uint64) {
 	st.writeMu.Lock()
 	defer st.writeMu.Unlock()
 	cur := st.Current()
 	if cur.version < v {
-		st.cur.Store(&Set{version: v, shards: cur.shards})
+		st.publish(&Set{version: v, shards: cur.shards, lineage: cur.lineage})
 	}
 }
 
@@ -233,7 +259,7 @@ func (st *Store) Drop(id uint64) bool {
 	if !found {
 		return false
 	}
-	st.install(next, prev)
+	st.install(next, prev.version+1)
 	return true
 }
 
@@ -258,6 +284,7 @@ func (st *Store) AddAllTagPredicates() int {
 			n, first = added, false
 		}
 	}
+	st.queries.Clear()
 	return n
 }
 
@@ -275,4 +302,5 @@ func (st *Store) AddPredicates(preds ...predicate.Predicate) {
 		sh.cat.AddBatch(preds)
 		sh.invalidateSummaries()
 	}
+	st.queries.Clear()
 }

@@ -101,14 +101,6 @@ func (r *Recorder) Observe(s Stage, d time.Duration) {
 	r.hists[s].Observe(d.Seconds())
 }
 
-// Histogram returns the stage's histogram (nil when not declared).
-func (r *Recorder) Histogram(s Stage) *metrics.Histogram {
-	if r == nil || s >= NumStages {
-		return nil
-	}
-	return r.hists[s]
-}
-
 // Collect writes the recorder's family: one labeled histogram series
 // per declared stage.
 func (r *Recorder) Collect(e *metrics.Expo) {

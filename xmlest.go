@@ -35,11 +35,9 @@ import (
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xmlest/internal/accuracy"
-	"xmlest/internal/cache"
 	"xmlest/internal/core"
 	"xmlest/internal/match"
 	"xmlest/internal/pattern"
@@ -546,24 +544,21 @@ func (db *Database) SchemaUpperBound(patternSrc string) (bound float64, ok bool,
 
 // Estimator answers answer-size queries from histogram summaries.
 // Concurrent estimation is safe: each call serves from an atomically
-// loaded immutable shard snapshot, and the internal query caches are
-// synchronized. A live estimator (from NewEstimator) follows the
-// database — estimates reflect shards appended, dropped or compacted
-// after it was created; Snapshot pins the current shard set instead.
-// Registering new predicates through Core().Synthesize mutates the
-// summary maps and must not run concurrently with estimation.
+// loaded immutable shard snapshot. A live estimator (from NewEstimator)
+// follows the database — estimates reflect shards appended, dropped or
+// compacted after it was created; Snapshot pins the current shard set
+// instead. Compiled queries live in the database's store, one bounded
+// memo shared by every estimator over it (see Compile), so an
+// estimator holds no query state of its own. Registering new
+// predicates through Core().Synthesize mutates the summary maps and
+// must not run concurrently with estimation.
 type Estimator struct {
-	db     *Database    // nil for estimators loaded from a summary blob
-	store  *shard.Store // nil for loaded estimators
+	db *Database // nil for estimators loaded from a summary blob
+	// store is the database's shard store, or the private store a
+	// loaded estimator serves its blob from (see LoadEstimator).
+	store  *shard.Store
 	opts   core.Options
 	pinned *shard.Set // non-nil: frozen snapshot, ignores later mutations
-
-	// compiled memoizes Compile results per pattern source, so the hot
-	// path of Estimate skips re-parsing identical queries. Entries
-	// rebind themselves when the serving snapshot changes. Bounded;
-	// misses simply recompile.
-	compileOnce sync.Once
-	compiled    *cache.LRU[string, *PreparedQuery]
 
 	// Lazily built monolithic summary over the merged view, for Core().
 	// Keyed by the merged catalog (live estimators; a new catalog is
@@ -573,17 +568,6 @@ type Estimator struct {
 	coreKey any
 	coreEst *core.Estimator
 }
-
-// compiledQueries returns the lazily-initialized compiled-query cache.
-func (e *Estimator) compiledQueries() *cache.LRU[string, *PreparedQuery] {
-	e.compileOnce.Do(func() {
-		e.compiled = cache.New[string, *PreparedQuery](compiledCacheSize)
-	})
-	return e.compiled
-}
-
-// compiledCacheSize bounds the facade's compiled-query cache.
-const compiledCacheSize = 256
 
 // NewEstimator builds the position histograms (and coverage histograms
 // for no-overlap predicates) for every registered predicate on every
@@ -638,24 +622,20 @@ func (e *Estimator) Version() uint64 { return e.set().Version() }
 // Stale reports whether a pinned snapshot has fallen behind the live
 // database (live estimators are never stale).
 func (e *Estimator) Stale() bool {
-	return e.pinned != nil && e.store != nil && e.pinned.Version() != e.store.Version()
+	return e.pinned != nil && e.pinned.Version() != e.store.Version()
 }
 
 // Estimate estimates the answer size of a twig pattern, choosing the
 // no-overlap algorithm wherever the schema allows and the primitive
 // pH-Join elsewhere. Repeated estimates of the same pattern source hit
-// a bounded compiled-query cache (see Compile) and skip parsing
-// entirely; compiled entries rebind automatically when shards change.
+// the store's compiled-query memo (see Compile) and skip parsing
+// entirely.
 func (e *Estimator) Estimate(patternSrc string) (Result, error) {
-	if pq, ok := e.compiledQueries().Get(patternSrc); ok {
-		return pq.Estimate()
-	}
-	pq, err := e.Compile(patternSrc)
+	_, b, err := e.store.Compile(patternSrc, e.opts, e.set(), e.pinned == nil)
 	if err != nil {
 		return Result{}, err
 	}
-	e.compiledQueries().Put(patternSrc, pq)
-	return pq.Estimate()
+	return b.Estimate()
 }
 
 // BatchResult couples estimates with the single snapshot version they
@@ -671,8 +651,8 @@ type BatchResult struct {
 // snapshot: the shard set is pinned once, so results are mutually
 // consistent even while appends, drops or compactions land
 // concurrently — the serving guarantee the daemon's batched /estimate
-// endpoint exposes. Patterns share the estimator's compiled-query
-// cache. Any invalid pattern fails the whole batch.
+// endpoint exposes. Patterns share the store's compiled-query memo.
+// Any invalid pattern fails the whole batch.
 func (e *Estimator) EstimateBatch(patterns []string) (BatchResult, error) {
 	version, results, err := e.EstimateBatchInto(patterns, nil)
 	if err != nil {
@@ -689,17 +669,8 @@ func (e *Estimator) EstimateBatch(patterns []string) (BatchResult, error) {
 func (e *Estimator) EstimateBatchInto(patterns []string, dst []Result) (version uint64, results []Result, err error) {
 	set := e.set()
 	results = dst[:0]
-	cq := e.compiledQueries()
 	for _, src := range patterns {
-		pq, cached := cq.Get(src)
-		if !cached {
-			p, err := pattern.Parse(src)
-			if err != nil {
-				return 0, nil, err
-			}
-			pq = &PreparedQuery{est: e, p: p, src: src}
-		}
-		b, err := pq.bindingFor(set)
+		_, b, err := e.store.Compile(src, e.opts, set, e.pinned == nil)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -708,9 +679,6 @@ func (e *Estimator) EstimateBatchInto(patterns []string, dst []Result) (version 
 			return 0, nil, err
 		}
 		results = append(results, res)
-		if !cached {
-			cq.Put(src, pq)
-		}
 	}
 	return set.Version(), results, nil
 }
@@ -756,63 +724,45 @@ func (e *Estimator) Shards() []ShardInfo {
 
 // Compile parses and prepares a twig pattern once: predicate references
 // are resolved eagerly against the current shard set (a name unknown to
-// every shard fails here), and the compiled query caches its per-shard
+// every shard fails here), and the compiled query keeps its per-shard
 // folded join results, so Estimate on a PreparedQuery costs histogram
-// arithmetic only. Use Compile for hot query paths that bypass the
-// facade's internal cache, or to surface pattern errors early.
+// arithmetic only. Use Compile to hold a hot query without a memo
+// lookup per call, or to surface pattern errors early.
+//
+// Compiled queries live in the store: one 256-entry memo keyed by
+// pattern source and options, shared by every estimator and every
+// PreparedQuery over the database (Estimate and EstimateBatch use it
+// too). Whenever the serving set changes, the writer that builds the
+// new set rebinds each query read since the previous change before
+// publishing it, so the next estimate finds its binding ready; other
+// queries rebind on their next call. Estimates are the same either
+// way, bit for bit.
 func (e *Estimator) Compile(patternSrc string) (*PreparedQuery, error) {
-	p, err := pattern.Parse(patternSrc)
+	q, _, err := e.store.Compile(patternSrc, e.opts, e.set(), e.pinned == nil)
 	if err != nil {
 		return nil, err
 	}
-	pq := &PreparedQuery{est: e, p: p, src: patternSrc}
-	if _, err := pq.bindingFor(e.set()); err != nil {
-		return nil, err
-	}
-	return pq, nil
+	return &PreparedQuery{est: e, q: q}, nil
 }
 
-// PreparedQuery is a compiled twig query bound to an Estimator. It is
-// safe for concurrent use; when the estimator's shard set changes, the
-// query transparently rebinds to the new set on its next call.
+// PreparedQuery is a handle on a compiled twig query in the store's
+// memo (see Compile), estimated against its Estimator's serving (or
+// pinned) set. It is safe for concurrent use and follows the set:
+// after an append, drop or compaction its binding was usually rebound
+// before the new set was published, and otherwise rebinds on its next
+// call.
 type PreparedQuery struct {
 	est *Estimator
-	p   *pattern.Pattern
-	src string
-
-	binding atomic.Pointer[shard.Prepared]
+	q   *shard.Query
 }
 
 // Source returns the pattern source the query was compiled from.
-func (pq *PreparedQuery) Source() string { return pq.src }
-
-// bindingFor returns the prepared per-shard queries for the given set,
-// rebinding if the cached binding belongs to another set (from the
-// cached binding, so an append costs only the appended shards).
-func (pq *PreparedQuery) bindingFor(set *shard.Set) (*shard.Prepared, error) {
-	prev := pq.binding.Load()
-	if prev != nil && prev.Set() == set {
-		return prev, nil
-	}
-	st := pq.est.store
-	var b *shard.Prepared
-	var err error
-	if st != nil {
-		b, err = st.Rebind(prev, set, pq.p, pq.est.opts)
-	} else {
-		b, err = set.Prepare(pq.p, pq.est.opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	pq.binding.Store(b)
-	return b, nil
-}
+func (pq *PreparedQuery) Source() string { return pq.q.Source() }
 
 // Estimate returns the estimated answer size of the compiled twig
 // against the estimator's current shard set.
 func (pq *PreparedQuery) Estimate() (Result, error) {
-	b, err := pq.bindingFor(pq.est.set())
+	b, err := pq.q.Bind(pq.est.set())
 	if err != nil {
 		return Result{}, err
 	}
@@ -853,9 +803,6 @@ func (e *Estimator) Core() *core.Estimator {
 	}
 	if e.pinned != nil {
 		return e.coreFor(set, func() *predicate.Catalog {
-			if e.store == nil {
-				return nil
-			}
 			var trees []*xmltree.Tree
 			for _, sh := range set.Shards() {
 				if !sh.SummaryOnly() {
@@ -929,18 +876,23 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 // XQS2 shard-set container. The loaded estimator answers every
 // estimation query; exact counting requires the original Database.
 func LoadEstimator(blob []byte) (*Estimator, error) {
+	var set *shard.Set
 	if core.IsShardSetBlob(blob) {
-		set, err := shard.LoadSet(blob)
+		var err error
+		if set, err = shard.LoadSet(blob); err != nil {
+			return nil, err
+		}
+	} else {
+		inner, err := core.UnmarshalEstimator(blob)
 		if err != nil {
 			return nil, err
 		}
-		return &Estimator{pinned: set}, nil
+		set = shard.SetFromSummaries(core.ShardSummary{ID: 1, Est: inner})
 	}
-	inner, err := core.UnmarshalEstimator(blob)
-	if err != nil {
-		return nil, err
-	}
-	return &Estimator{pinned: shard.SetFromSummaries(core.ShardSummary{ID: 1, Est: inner})}, nil
+	// The loaded set is the only set of a store of its own, so the
+	// estimator serves it live, with a compiled-query memo like a
+	// database's.
+	return &Estimator{store: shard.StoreOf(set)}, nil
 }
 
 // Find enumerates up to limit concrete matches of a twig pattern
