@@ -18,10 +18,9 @@
 //	xqest -data a.xml -append b.xml,c.xml,d.xml compact
 //	xqest -data a.xml -append b.xml drop 2
 //
-// Persistence: `build` (or -save with estimate) writes the summary —
-// the monolithic XQS1 format for one shard, the XQS2 shard-set
-// container for several — and -load estimates from a saved summary
-// without touching any data.
+// Persistence: `build` (or -save with estimate) writes the summary as
+// one XQS2 shard-set container, however many shards it has, and -load
+// estimates from a saved summary without touching any data.
 //
 //	xqest -data a.xml -append b.xml build -o summary.bin
 //	xqest -load summary.bin estimate '//article//author'
@@ -381,8 +380,8 @@ commands:
                          instead; -metrics dumps its raw Prometheus exposition)
   shards                list live shards (id, nodes, docs, kind)
   predicates            registered predicates with counts and overlap property
-  build                 build histograms and write them to -o (default summary.bin);
-                        one shard writes XQS1, several write the XQS2 container
+  build                 build histograms and write them to -o (default summary.bin)
+                        as one XQS2 shard-set container
   estimate '<pattern>'  estimated answer size via position histograms
                         (-save file: persist the summary afterwards;
                          -load file: estimate from a saved summary, no data)

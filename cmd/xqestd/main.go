@@ -87,7 +87,7 @@ func main() {
 	seed := flag.Int64("seed", 2002, "built-in dataset seed")
 	grid := flag.Int("grid", 10, "histogram grid size g (gxg buckets)")
 	workers := flag.Int("build-workers", 0, "summary build workers (0 = GOMAXPROCS)")
-	load := flag.String("load", "", "serve read-only from a saved summary (XQS1/XQS2) instead of data")
+	load := flag.String("load", "", "serve read-only from a saved XQS2 summary instead of data")
 	save := flag.String("save", "", "persist the summary snapshot here on shutdown")
 	autocompact := flag.Duration("autocompact", 0, "background compaction interval (0 disables)")
 	maxShards := flag.Int("max-shards", 0, "compaction policy shard-count target (0 = default)")

@@ -498,19 +498,11 @@ func (e *Estimator) EstimateTwig(p *pattern.Pattern) (Result, error) {
 // EstimateSubPattern exposes sub-pattern estimation for query
 // optimizers that need intermediate-result estimates: it returns the
 // SubPattern (estimate, participation, coverage) of the pattern,
-// anchored at its root. The returned position histograms are private
-// clones, so callers may mutate them without corrupting the leaf
-// histograms a fold shares with the estimator; coverage histograms are
-// immutable and shared.
+// anchored at its root. Its histograms are immutable and may be shared
+// with the estimator.
 func (e *Estimator) EstimateSubPattern(p *pattern.Pattern) (SubPattern, error) {
 	sp, _, err := e.buildSubPattern(p.Root)
-	if err != nil {
-		return SubPattern{}, err
-	}
-	sp.Est = sp.Est.Clone()
-	sp.Hist = sp.Hist.Clone()
-	sp.Base = sp.Base.Clone()
-	return sp, nil
+	return sp, err
 }
 
 // buildSubPattern folds a pattern node's children into its leaf
@@ -540,7 +532,7 @@ func (e *Estimator) buildSubPattern(q *pattern.Node) (SubPattern, bool, error) {
 		}
 		if qc.Axis == pattern.Child {
 			if r := e.childEdgeRatio(q.PredName(), qc.PredName()); r < 1 {
-				joined.Est.Scale(r)
+				joined.Est = joined.Est.Scaled(r)
 			}
 		}
 		acc = joined

@@ -41,11 +41,8 @@ func fuzzSeedSummaries(f *testing.F) [][]byte {
 	// Fractional counts: a summary assembled from a synthetic estimated
 	// histogram (the float branch of the cell encoding).
 	grid := histogram.MustUniformGrid(3, 30)
-	trueHist := histogram.NewPosition(grid)
-	trueHist.Add(0, 2, 10)
-	frac := histogram.NewPosition(grid)
-	frac.Add(0, 1, 0.375)
-	frac.Add(1, 2, 2.5)
+	trueHist := histogram.NewPosition(grid, []histogram.Cell{{I: 0, J: 2, Count: 10}})
+	frac := histogram.NewPosition(grid, []histogram.Cell{{I: 0, J: 1, Count: 0.375}, {I: 1, J: 2, Count: 2.5}})
 	est, err := NewEstimatorFromHistograms(trueHist, map[string]*histogram.Position{"frac": frac}, map[string]bool{"frac": true})
 	if err != nil {
 		f.Fatal(err)
@@ -132,11 +129,7 @@ func FuzzSummaryEncodeDecode(f *testing.F) {
 	f.Add([]byte("junk"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if IsShardSetBlob(data) {
-			shards, err := UnmarshalShardSet(data)
-			if err != nil {
-				return
-			}
+		if shards, err := UnmarshalShardSet(data); err == nil {
 			blob, err := MarshalShardSet(shards)
 			if err != nil {
 				t.Fatalf("re-marshal shard set: %v", err)

@@ -30,33 +30,34 @@ type LevelHistograms struct {
 
 // BuildLevelHistograms constructs per-depth histograms for a node list.
 func BuildLevelHistograms(t *xmltree.Tree, nodes []xmltree.NodeID, grid histogram.Grid) *LevelHistograms {
-	l := &LevelHistograms{grid: grid, byDepth: make(map[int]*histogram.Position)}
-	for _, id := range nodes {
+	return buildLevels(t, nodes, grid, func(id xmltree.NodeID) (int, int) {
 		n := t.Node(id)
-		h := l.byDepth[n.Depth]
-		if h == nil {
-			h = histogram.NewPosition(grid)
-			l.byDepth[n.Depth] = h
-		}
-		h.Add(grid.Bucket(n.Start), grid.Bucket(n.End), 1)
-	}
-	return l
+		return grid.Bucket(n.Start), grid.Bucket(n.End)
+	})
 }
 
 // buildLevelHistogramsFromCells is BuildLevelHistograms with the
 // per-node grid cells precomputed (the estimator construction path).
 func buildLevelHistogramsFromCells(t *xmltree.Tree, nodes []xmltree.NodeID, nc *histogram.NodeCells) *LevelHistograms {
-	grid := nc.Grid()
-	l := &LevelHistograms{grid: grid, byDepth: make(map[int]*histogram.Position)}
+	return buildLevels(t, nodes, nc.Grid(), nc.Cell)
+}
+
+// buildLevels groups the nodes by depth and counts each depth's nodes
+// into its cells through one accumulator at a time.
+func buildLevels(t *xmltree.Tree, nodes []xmltree.NodeID, grid histogram.Grid, cell func(xmltree.NodeID) (int, int)) *LevelHistograms {
+	byDepth := make(map[int][]xmltree.NodeID)
 	for _, id := range nodes {
-		n := t.Node(id)
-		h := l.byDepth[n.Depth]
-		if h == nil {
-			h = histogram.NewPosition(grid)
-			l.byDepth[n.Depth] = h
+		d := t.Node(id).Depth
+		byDepth[d] = append(byDepth[d], id)
+	}
+	l := &LevelHistograms{grid: grid, byDepth: make(map[int]*histogram.Position, len(byDepth))}
+	for d, ids := range byDepth {
+		acc := histogram.NewAccumulator(grid.Size())
+		for _, id := range ids {
+			i, j := cell(id)
+			acc.Add(i, j, 1)
 		}
-		i, j := nc.Cell(id)
-		h.Add(i, j, 1)
+		l.byDepth[d] = acc.Position(grid)
 	}
 	return l
 }

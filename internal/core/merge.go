@@ -74,20 +74,24 @@ func MergeSummaries(parts []*Estimator) (*Estimator, MergedPredicateMixed, error
 		return nil, nil, fmt.Errorf("core: concatenated grid: %w", err)
 	}
 
+	// The parts sit block-diagonally on the concatenated grid, so their
+	// translated cells, appended part by part, are in (i, j) order.
+	translate := func(dst []histogram.Cell, src *histogram.Position, off int) []histogram.Cell {
+		for _, c := range src.NonZeroCells() {
+			dst = append(dst, histogram.Cell{I: off + c.I, J: off + c.J, Count: c.Count})
+		}
+		return dst
+	}
+	var trueCells []histogram.Cell
+	for s, p := range parts {
+		trueCells = translate(trueCells, p.trueHist, offsets[s])
+	}
 	e := &Estimator{
 		grid:     grid,
-		trueHist: histogram.NewPosition(grid),
+		trueHist: histogram.NewPosition(grid, trueCells),
 		hists:    make(map[string]*histogram.Position),
 		covs:     make(map[string]*histogram.Coverage),
 		overlap:  make(map[string]bool),
-	}
-	translate := func(dst *histogram.Position, src *histogram.Position, off int) {
-		for _, c := range src.NonZeroCells() {
-			dst.Add(off+c.I, off+c.J, c.Count)
-		}
-	}
-	for s, p := range parts {
-		translate(e.trueHist, p.trueHist, offsets[s])
 	}
 
 	// Per predicate: union the position histograms block-diagonally and
@@ -122,7 +126,7 @@ func MergeSummaries(parts []*Estimator) (*Estimator, MergedPredicateMixed, error
 	sort.Strings(names)
 	for _, name := range names {
 		st := states[name]
-		h := histogram.NewPosition(grid)
+		var cells []histogram.Cell
 		var entries []histogram.CoverageEntry
 		for s, p := range parts {
 			ph, ok := p.hists[name]
@@ -130,14 +134,14 @@ func MergeSummaries(parts []*Estimator) (*Estimator, MergedPredicateMixed, error
 				continue
 			}
 			off := offsets[s]
-			translate(h, ph, off)
+			cells = translate(cells, ph, off)
 			if st.hasCoverage {
 				p.covs[name].EachFrac(func(i, j, m, n int, f float64) {
 					entries = append(entries, histogram.CoverageEntry{I: off + i, J: off + j, M: off + m, N: off + n, Frac: f})
 				})
 			}
 		}
-		e.hists[name] = h
+		e.hists[name] = histogram.NewPosition(grid, cells)
 		e.overlap[name] = st.overlap
 		if st.hasCoverage {
 			e.covs[name] = histogram.NewCoverageFromEntries(grid, entries)

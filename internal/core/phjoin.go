@@ -6,19 +6,17 @@ import "xmlest/internal/histogram"
 // position histograms, with histA the ancestor operand and histB the
 // descendant operand. It computes the same quantity as the paper's
 // three-pass pH-Join pseudo-code (Fig 9, kept executable as
-// PHJoinDense), but iterates only histA's non-zero cells against
-// histB's cached partial-sum planes: O(nnz) per call once histB's sums
-// exist, instead of O(g²) for every call. The two paths are
-// cross-checked in tests.
+// PHJoinDense), but takes the partial sums at histA's non-zero cells
+// from one sparse sweep over histB's (histogram.Regions): O(g + nnz)
+// per call instead of O(g²). The two paths are cross-checked in tests.
 func PHJoin(histA, histB *histogram.Position) (float64, error) {
 	if err := checkGrids(histA, histB); err != nil {
 		return 0, err
 	}
-	s := histB.Sums()
 	var total float64
-	for _, c := range histA.NonZeroCells() {
-		total += c.Count * ancestorCoef(s, c.I, c.J)
-	}
+	ancestorCoefs(histB, histA.NonZeroCells(), func(c histogram.Cell, coef float64) {
+		total += c.Count * coef
+	})
 	return total, nil
 }
 
@@ -34,8 +32,8 @@ func PHJoin(histA, histB *histogram.Position) (float64, error) {
 //  3. per-cell multiplicative coefficients combined with the outer
 //     operand's counts and summed.
 //
-// PHJoin computes the same quantity through the sparse, cached-sum
-// formulation; PHJoinDense exists so the published pseudo-code itself
+// PHJoin computes the same quantity through the sparse formulation;
+// PHJoinDense exists so the published pseudo-code itself
 // stays executable and benchmarkable, and as the reference the sparse
 // path is validated against.
 func PHJoinDense(histA, histB *histogram.Position) (float64, error) {

@@ -95,8 +95,8 @@ func (pq *PreparedQuery) Value() (est float64, usedNoOverlap bool, err error) {
 
 // EstimateSubPattern returns the folded root sub-pattern (estimate,
 // participation, coverage), for optimizers needing intermediate
-// results. The returned histograms are the compiled query's own and
-// must not be mutated.
+// results. Its histograms are immutable and shared with the compiled
+// query.
 func (pq *PreparedQuery) EstimateSubPattern() (SubPattern, error) {
 	if _, err := pq.Estimate(); err != nil {
 		return SubPattern{}, err

@@ -7,23 +7,17 @@ import (
 )
 
 // The Fig 6 estimation formulas consume region sums of one operand
-// histogram. Those sums (column, row, inside and prefix planes) are
-// computed once per histogram and cached on the Position itself
-// (histogram.Position.Sums), so a join against a histogram that has
-// already participated in any join is O(nnz of the other operand): the
-// per-cell coefficients below are O(1) lookups into the cached planes.
-// See DESIGN.md, "Summary pipeline & performance".
+// histogram. The ancestor-based coefficients take the Fig 9 partial sums
+// of the descendant operand from histogram.Regions, for every queried
+// cell in one O(g + nnz) sweep; the descendant-based coefficient sums
+// the ancestor operand's non-zero cells directly. No g×g plane is built.
+// See DESIGN.md, "Sparse cells, CSR coverage and O(nnz) joins".
 
-// ancestorCoef returns the Fig 6 ancestor-based multiplicative
-// coefficient for ancestor cell (i, j) against the descendant
-// histogram's sums: the expected number of descendant-histogram points
+// ancestorCoefOf returns the Fig 6 ancestor-based multiplicative
+// coefficient for ancestor cell (i, j) from the descendant histogram's
+// region sums r there and its diagonal cells selfII = H[i][i] and
+// selfJJ = H[j][j]: the expected number of descendant-histogram points
 // joining with one point in (i, j).
-func ancestorCoef(s *histogram.Sums, i, j int) float64 {
-	return ancestorCoefOf(s.Region(i, j), i == j, s.Self(i, i), s.Self(j, j))
-}
-
-// ancestorCoefOf is ancestorCoef from the cell's region sums r and the
-// diagonal cells selfII = H[i][i] and selfJJ = H[j][j].
 func ancestorCoefOf(r histogram.Region, diagonal bool, selfII, selfJJ float64) float64 {
 	if diagonal {
 		return r.Self / 12
@@ -34,42 +28,72 @@ func ancestorCoefOf(r histogram.Region, diagonal bool, selfII, selfJJ float64) f
 		r.Self/4
 }
 
+// ancestorCoefs calls fn with every query cell of q, in order, and its
+// ancestor-based coefficient against the descendant histogram histB.
+// The region sums and histB's diagonal live in pooled scratch.
+func ancestorCoefs(histB *histogram.Position, q []histogram.Cell, fn func(c histogram.Cell, coef float64)) {
+	sc := scratchPool.Get().(*joinScratch)
+	g, cells := histB.Grid().Size(), histB.NonZeroCells()
+	regions := sc.regionsFor(len(q))
+	histogram.Regions(g, cells, q, regions)
+	diag := sc.diagFor(g)
+	for _, c := range cells {
+		if c.I == c.J {
+			diag[c.I] = c.Count
+		}
+	}
+	for x, c := range q {
+		fn(c, ancestorCoefOf(regions[x], c.I == c.J, diag[c.I], diag[c.J]))
+	}
+	clear(diag)
+	scratchPool.Put(sc)
+}
+
 // descendantCoef returns the Fig 6 descendant-based coefficient for
-// descendant cell (i, j) against the ancestor histogram's sums: the
-// expected number of ancestor-histogram points joining with one point
-// in (i, j). Regions F (same column, above), G (strictly up-left) and
-// H (same row, left) count with weight 1; the cell itself with 1/4
-// off-diagonal and 1/12 on-diagonal.
-func descendantCoef(s *histogram.Sums, i, j int) float64 {
-	g := s.GridSize()
-	self := s.Self(i, j)
+// descendant cell (i, j) against the ancestor histogram's non-zero
+// cells: the expected number of ancestor-histogram points joining with
+// one point in (i, j). Regions F (same column, above), G (strictly
+// up-left) and H (same row, left) — every cell (k, l) with k <= i and
+// l >= j but (i, j) itself — count with weight 1, summed directly in
+// (k, l) order; the cell itself counts with 1/4 off-diagonal and 1/12
+// on-diagonal.
+func descendantCoef(anc []histogram.Cell, i, j int) float64 {
+	var region, self float64
+	for _, c := range anc {
+		if c.I > i {
+			break
+		}
+		switch {
+		case c.I == i && c.J == j:
+			self = c.Count
+		case c.J >= j:
+			region += c.Count
+		}
+	}
 	selfW := 0.25
 	if i == j {
 		selfW = 1.0 / 12
 	}
-	return s.Rect(0, i-1, j+1, g-1) + // G: strictly up-left block
-		s.Rect(i, i, j+1, g-1) + // F: same start column, ending above
-		s.Rect(0, i-1, j, j) + // H: same end row, starting left
-		selfW*self
+	return region + selfW*self
 }
 
 // EstimateAncestorBased computes the Fig 6 ancestor-based estimation
 // histogram for the pattern P1//P2: cell (i, j) holds the estimated
 // number of (ancestor, descendant) pairs whose ancestor falls in cell
 // (i, j) of histA. histA and histB must share a grid. Only histA's
-// non-zero cells are visited, against histB's cached sums.
+// non-zero cells are visited.
 func EstimateAncestorBased(histA, histB *histogram.Position) (*histogram.Position, error) {
 	if err := checkGrids(histA, histB); err != nil {
 		return nil, err
 	}
-	s := histB.Sums()
-	out := histogram.NewPosition(histA.Grid())
-	for _, c := range histA.NonZeroCells() {
-		if est := c.Count * ancestorCoef(s, c.I, c.J); est != 0 {
-			out.Set(c.I, c.J, est)
+	q := histA.NonZeroCells()
+	cells := make([]histogram.Cell, 0, len(q))
+	ancestorCoefs(histB, q, func(c histogram.Cell, coef float64) {
+		if est := c.Count * coef; est != 0 {
+			cells = append(cells, histogram.Cell{I: c.I, J: c.J, Count: est})
 		}
-	}
-	return out, nil
+	})
+	return histogram.NewPosition(histA.Grid(), cells), nil
 }
 
 // EstimateDescendantBased computes the Fig 6 descendant-based estimation
@@ -79,14 +103,10 @@ func EstimateDescendantBased(histA, histB *histogram.Position) (*histogram.Posit
 	if err := checkGrids(histA, histB); err != nil {
 		return nil, err
 	}
-	s := histA.Sums()
-	out := histogram.NewPosition(histB.Grid())
-	for _, c := range histB.NonZeroCells() {
-		if est := c.Count * descendantCoef(s, c.I, c.J); est != 0 {
-			out.Set(c.I, c.J, est)
-		}
-	}
-	return out, nil
+	anc := histA.NonZeroCells()
+	return mapCells(histB.Grid(), histB.NonZeroCells(), func(_ int, c histogram.Cell) float64 {
+		return c.Count * descendantCoef(anc, c.I, c.J)
+	}), nil
 }
 
 // AncestorCoefficients returns the per-cell multiplicative coefficients
@@ -96,17 +116,20 @@ func EstimateDescendantBased(histA, histB *histogram.Position) (*histogram.Posit
 // histogram itself), after which any join against that descendant
 // reduces to a cell-wise multiply-accumulate.
 func AncestorCoefficients(histB *histogram.Position) *histogram.Position {
-	s := histB.Sums()
 	g := histB.Grid().Size()
-	out := histogram.NewPosition(histB.Grid())
+	q := make([]histogram.Cell, 0, g*(g+1)/2)
 	for i := 0; i < g; i++ {
 		for j := i; j < g; j++ {
-			if c := ancestorCoef(s, i, j); c != 0 {
-				out.Set(i, j, c)
-			}
+			q = append(q, histogram.Cell{I: i, J: j})
 		}
 	}
-	return out
+	var cells []histogram.Cell
+	ancestorCoefs(histB, q, func(c histogram.Cell, coef float64) {
+		if coef != 0 {
+			cells = append(cells, histogram.Cell{I: c.I, J: c.J, Count: coef})
+		}
+	})
+	return histogram.NewPosition(histB.Grid(), cells)
 }
 
 func checkGrids(a, b *histogram.Position) error {

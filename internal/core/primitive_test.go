@@ -201,8 +201,8 @@ func TestAncestorCoefficientsPrecomputation(t *testing.T) {
 }
 
 func TestGridMismatchErrors(t *testing.T) {
-	a := histogram.NewPosition(histogram.MustUniformGrid(4, 100))
-	b := histogram.NewPosition(histogram.MustUniformGrid(5, 100))
+	a := histogram.NewPosition(histogram.MustUniformGrid(4, 100), nil)
+	b := histogram.NewPosition(histogram.MustUniformGrid(5, 100), nil)
 	if _, err := EstimateAncestorBased(a, b); err == nil {
 		t.Errorf("EstimateAncestorBased: want grid error")
 	}
@@ -216,9 +216,8 @@ func TestGridMismatchErrors(t *testing.T) {
 
 func TestEmptyHistogramsEstimateZero(t *testing.T) {
 	grid := histogram.MustUniformGrid(6, 100)
-	empty := histogram.NewPosition(grid)
-	full := histogram.NewPosition(grid)
-	full.Set(0, 5, 10)
+	empty := histogram.NewPosition(grid, nil)
+	full := histogram.NewPosition(grid, []histogram.Cell{{I: 0, J: 5, Count: 10}})
 	for _, pair := range [][2]*histogram.Position{{empty, full}, {full, empty}, {empty, empty}} {
 		got, err := PHJoin(pair[0], pair[1])
 		if err != nil {
@@ -234,10 +233,8 @@ func TestGridSize1(t *testing.T) {
 	// A 1×1 grid has a single on-diagonal cell; the estimate collapses
 	// to count(A)×count(B)/12.
 	grid := histogram.MustUniformGrid(1, 100)
-	ha := histogram.NewPosition(grid)
-	hb := histogram.NewPosition(grid)
-	ha.Set(0, 0, 6)
-	hb.Set(0, 0, 24)
+	ha := histogram.NewPosition(grid, []histogram.Cell{{I: 0, J: 0, Count: 6}})
+	hb := histogram.NewPosition(grid, []histogram.Cell{{I: 0, J: 0, Count: 24}})
 	got, err := PHJoin(ha, hb)
 	if err != nil {
 		t.Fatalf("PHJoin: %v", err)

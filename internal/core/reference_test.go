@@ -14,8 +14,8 @@ import (
 )
 
 // The earlier join code, kept as the specification of the sparse one:
-// dense g×g result planes, Fig 9 partial sums from Sums planes, and a
-// map-backed coverage histogram written cell by cell. Estimates are
+// dense g×g planes written cell by cell, Fig 9 partial sums from dense
+// summation planes, and a map-backed coverage histogram. Estimates are
 // compared bit for bit, because summaries and estimates must not change
 // across versions (crash recovery and replication compare them that
 // way).
@@ -72,6 +72,65 @@ func (c *refCvg) EachFrac(fn func(i, j, m, n int, f float64)) {
 	}
 }
 
+// refPlane is a dense g×g histogram plane, written cell by cell.
+type refPlane struct {
+	g     int
+	cells []float64
+}
+
+func newRefPlane(grid histogram.Grid) *refPlane {
+	g := grid.Size()
+	return &refPlane{g: g, cells: make([]float64, g*g)}
+}
+
+func (p *refPlane) Add(i, j int, v float64) { p.cells[i*p.g+j] += v }
+func (p *refPlane) Set(i, j int, v float64) { p.cells[i*p.g+j] = v }
+func (p *refPlane) Count(i, j int) float64  { return p.cells[i*p.g+j] }
+func (p *refPlane) Position(grid histogram.Grid) *histogram.Position {
+	var cells []histogram.Cell
+	for i := 0; i < p.g; i++ {
+		for j := i; j < p.g; j++ {
+			if v := p.Count(i, j); v != 0 {
+				cells = append(cells, histogram.Cell{I: i, J: j, Count: v})
+			}
+		}
+	}
+	return histogram.NewPosition(grid, cells)
+}
+
+// refSums holds the Fig 9 partial-summation planes of a histogram,
+// computed densely by the pseudo-code's recurrences.
+type refSums struct {
+	g                         int
+	self, down, right, inside []float64
+}
+
+func newRefSums(h *histogram.Position) *refSums {
+	g := h.Grid().Size()
+	s := &refSums{g: g, self: make([]float64, g*g), down: make([]float64, g*g),
+		right: make([]float64, g*g), inside: make([]float64, g*g)}
+	for _, c := range h.NonZeroCells() {
+		s.self[c.I*g+c.J] = c.Count
+	}
+	for i := 0; i < g; i++ {
+		for j := i + 1; j < g; j++ {
+			s.down[i*g+j] = s.down[i*g+j-1] + s.self[i*g+j-1]
+		}
+	}
+	for j := g - 1; j >= 0; j-- {
+		for i := j - 1; i >= 0; i-- {
+			s.right[i*g+j] = s.right[(i+1)*g+j] + s.self[(i+1)*g+j]
+			s.inside[i*g+j] = s.inside[(i+1)*g+j] + s.down[(i+1)*g+j]
+		}
+	}
+	return s
+}
+
+func (s *refSums) Self(i, j int) float64   { return s.self[i*s.g+j] }
+func (s *refSums) Down(i, j int) float64   { return s.down[i*s.g+j] }
+func (s *refSums) Right(i, j int) float64  { return s.right[i*s.g+j] }
+func (s *refSums) Inside(i, j int) float64 { return s.inside[i*s.g+j] }
+
 type refSP struct {
 	Est, Hist, Base *histogram.Position
 	Cvg             *refCvg
@@ -86,7 +145,7 @@ func (s refSP) jnFct(i, j int) float64 {
 	return s.Est.Count(i, j) / h
 }
 
-func refAncestorCoef(s *histogram.Sums, i, j int) float64 {
+func refAncestorCoef(s *refSums, i, j int) float64 {
 	if i == j {
 		return s.Self(i, i) / 12
 	}
@@ -96,32 +155,50 @@ func refAncestorCoef(s *histogram.Sums, i, j int) float64 {
 		s.Self(i, j)/4
 }
 
+// refDescendantCoef is the Fig 6 descendant-based coefficient by brute
+// force: every cell (k, l) with k <= i and l >= j but (i, j) itself,
+// summed in (k, l) order, plus the cell's own count weighted 1/4
+// (1/12 on the diagonal).
+func refDescendantCoef(h *histogram.Position, i, j int) float64 {
+	g := h.Grid().Size()
+	var region float64
+	for k := 0; k <= i; k++ {
+		for l := j; l < g; l++ {
+			if k != i || l != j {
+				region += h.Count(k, l)
+			}
+		}
+	}
+	selfW := 0.25
+	if i == j {
+		selfW = 1.0 / 12
+	}
+	return region + selfW*h.Count(i, j)
+}
+
 func refJoinAncestor(anc, desc refSP) refSP {
 	grid := anc.Est.Grid()
 	if !anc.NoOverlap || anc.Cvg == nil {
-		ps := desc.Est.Sums()
-		est := histogram.NewPosition(grid)
+		ps := newRefSums(desc.Est)
+		est := newRefPlane(grid)
 		for _, c := range anc.Est.NonZeroCells() {
-			if v := c.Count * refAncestorCoef(ps, c.I, c.J); v != 0 {
-				est.Set(c.I, c.J, v)
-			}
+			est.Set(c.I, c.J, c.Count*refAncestorCoef(ps, c.I, c.J))
 		}
-		return refSP{Est: est, Hist: refCapCellwise(est, anc.Hist), Base: anc.Base, NoOverlap: anc.NoOverlap}
+		estH := est.Position(grid)
+		return refSP{Est: estH, Hist: refCapCellwise(estH, anc.Hist), Base: anc.Base, NoOverlap: anc.NoOverlap}
 	}
-	covMass := histogram.NewPosition(grid)
+	covMass := newRefPlane(grid)
 	anc.Cvg.EachFrac(func(m, n, i, j int, f float64) {
 		if e := desc.Est.Count(m, n); e != 0 {
 			covMass.Add(i, j, f*e)
 		}
 	})
-	est := histogram.NewPosition(grid)
-	covMass.EachNonZero(func(i, j int, mass float64) {
-		if v := anc.jnFct(i, j) * mass; v != 0 {
-			est.Set(i, j, v)
-		}
+	est := newRefPlane(grid)
+	covMass.Position(grid).EachNonZero(func(i, j int, mass float64) {
+		est.Set(i, j, anc.jnFct(i, j)*mass)
 	})
-	descPart := desc.Hist.Sums()
-	hist := histogram.NewPosition(grid)
+	descPart := newRefSums(desc.Hist)
+	histP := newRefPlane(grid)
 	for _, c := range anc.Hist.NonZeroCells() {
 		n := c.Count
 		if n <= 0 {
@@ -137,8 +214,9 @@ func refJoinAncestor(anc, desc refSP) refSP {
 		} else {
 			part = n * (1 - math.Pow((n-1)/n, m))
 		}
-		hist.Set(c.I, c.J, part)
+		histP.Set(c.I, c.J, part)
 	}
+	hist := histP.Position(grid)
 	cvg := refScaleCoverage(anc.Cvg, func(m, n int) float64 {
 		base := anc.Hist.Count(m, n)
 		if base <= 0 {
@@ -146,16 +224,16 @@ func refJoinAncestor(anc, desc refSP) refSP {
 		}
 		return hist.Count(m, n) / base
 	})
-	return refSP{Est: est, Hist: hist, Base: anc.Base, Cvg: cvg, NoOverlap: true}
+	return refSP{Est: est.Position(grid), Hist: hist, Base: anc.Base, Cvg: cvg, NoOverlap: true}
 }
 
 func refJoinDescendant(anc, desc refSP) refSP {
 	grid := desc.Est.Grid()
-	est := histogram.NewPosition(grid)
+	est := newRefPlane(grid)
 	var hist *histogram.Position
 	if anc.NoOverlap && anc.Cvg != nil {
-		covFct := histogram.NewPosition(grid)
-		covPart := histogram.NewPosition(grid)
+		covFct := newRefPlane(grid)
+		covPart := newRefPlane(grid)
 		anc.Cvg.EachFrac(func(vi, vj, m, n int, f float64) {
 			if jf := anc.jnFct(m, n); jf != 0 {
 				covFct.Add(vi, vj, f*jf)
@@ -165,24 +243,18 @@ func refJoinDescendant(anc, desc refSP) refSP {
 			}
 		})
 		for _, c := range desc.Est.NonZeroCells() {
-			if v := c.Count * covFct.Count(c.I, c.J); v != 0 {
-				est.Set(c.I, c.J, v)
-			}
+			est.Set(c.I, c.J, c.Count*covFct.Count(c.I, c.J))
 		}
-		hist = histogram.NewPosition(grid)
+		histP := newRefPlane(grid)
 		for _, c := range desc.Hist.NonZeroCells() {
-			if v := c.Count * covPart.Count(c.I, c.J); v != 0 {
-				hist.Set(c.I, c.J, v)
-			}
+			histP.Set(c.I, c.J, c.Count*covPart.Count(c.I, c.J))
 		}
+		hist = histP.Position(grid)
 	} else {
-		ps := anc.Est.Sums()
 		for _, c := range desc.Est.NonZeroCells() {
-			if v := c.Count * descendantCoef(ps, c.I, c.J); v != 0 {
-				est.Set(c.I, c.J, v)
-			}
+			est.Set(c.I, c.J, c.Count*refDescendantCoef(anc.Est, c.I, c.J))
 		}
-		hist = refCapCellwise(est, desc.Hist)
+		hist = refCapCellwise(est.Position(grid), desc.Hist)
 	}
 	var cvg *refCvg
 	if desc.NoOverlap && desc.Cvg != nil {
@@ -194,20 +266,18 @@ func refJoinDescendant(anc, desc refSP) refSP {
 			return hist.Count(i, j) / base
 		})
 	}
-	return refSP{Est: est, Hist: hist, Base: desc.Base, Cvg: cvg, NoOverlap: desc.NoOverlap}
+	return refSP{Est: est.Position(grid), Hist: hist, Base: desc.Base, Cvg: cvg, NoOverlap: desc.NoOverlap}
 }
 
 func refCapCellwise(est, capH *histogram.Position) *histogram.Position {
-	out := histogram.NewPosition(est.Grid())
+	out := newRefPlane(est.Grid())
 	est.EachNonZero(func(i, j int, v float64) {
 		if c := capH.Count(i, j); v > c {
 			v = c
 		}
-		if v != 0 {
-			out.Set(i, j, v)
-		}
+		out.Set(i, j, v)
 	})
-	return out
+	return out.Position(est.Grid())
 }
 
 func refScaleCoverage(cvg *refCvg, ratio func(m, n int) float64) *refCvg {
@@ -235,7 +305,7 @@ func refFold(e *Estimator, q *pattern.Node) (refSP, bool) {
 		joined := refJoinAncestor(acc, child)
 		if qc.Axis == pattern.Child {
 			if r := e.childEdgeRatio(q.PredName(), qc.PredName()); r < 1 {
-				joined.Est.Scale(r)
+				joined.Est = joined.Est.Scaled(r)
 			}
 		}
 		acc = joined

@@ -1,15 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
 
-// XQS2 is the shard-set container format: a whole sharded summary in
-// one blob. It wraps one XQS1 summary (see store.go) per shard together
-// with the shard metadata needed to reconstruct the serving set, so a
-// summary built incrementally — shard by shard — ships and loads as one
-// artifact, exactly like the monolithic XQS1 blob did.
+// XQS2 is the shard-set container format, the one format a saved
+// summary ships in: a whole sharded summary in one blob, a one-shard
+// summary included. It wraps one XQS1 summary (see store.go) per shard
+// together with the shard metadata needed to reconstruct the serving
+// set. XQS1 on its own is only the per-shard record, here and in the
+// shard files of checkpoints and replicas.
 //
 // Layout:
 //
@@ -56,8 +58,8 @@ func MarshalShardSet(shards []ShardSummary) ([]byte, error) {
 // Each returned estimator is summary-only, exactly as if loaded through
 // UnmarshalEstimator.
 func UnmarshalShardSet(data []byte) ([]ShardSummary, error) {
-	if !IsShardSetBlob(data) {
-		return nil, fmt.Errorf("core: bad shard-set magic")
+	if !bytes.HasPrefix(data, []byte(shardSetMagic)) {
+		return nil, fmt.Errorf("core: not an %s shard-set blob", shardSetMagic)
 	}
 	r := &blobReader{data: data, off: len(shardSetMagic)}
 	n, err := r.uvarint()
@@ -95,10 +97,4 @@ func UnmarshalShardSet(data []byte) ([]ShardSummary, error) {
 		return nil, fmt.Errorf("core: %d trailing bytes after shard set", len(data)-r.off)
 	}
 	return out, nil
-}
-
-// IsShardSetBlob reports whether the blob starts with the XQS2 magic —
-// the dispatch check loaders use to accept both container formats.
-func IsShardSetBlob(data []byte) bool {
-	return len(data) >= len(shardSetMagic) && string(data[:len(shardSetMagic)]) == shardSetMagic
 }

@@ -42,14 +42,9 @@ type SubPattern struct {
 // and participation both equal the predicate's position histogram, and
 // its join factor is one everywhere.
 //
-// The leaf shares the base histogram directly instead of cloning it:
-// joins never mutate their operands, so sharing keeps the base's cached
-// partial sums and sparse cell list (histogram.Position.Sums and
-// NonZeroCells) warm across every estimate that touches the predicate.
-// Sub-pattern histograms must therefore be treated as read-only by all
-// downstream code; join results are always freshly allocated, and they
-// are sparse (histogram.NewSparsePosition): each holds only its
-// non-zero cells.
+// Histograms are immutable, so the leaf shares the base histogram
+// directly; join results are always freshly allocated, and each holds
+// only its non-zero cells.
 func Leaf(base *histogram.Position, cvg *histogram.Coverage, noOverlap bool) SubPattern {
 	return SubPattern{
 		Est:       base,
@@ -73,12 +68,13 @@ func (s SubPattern) jnFct(i, j int) float64 {
 }
 
 // joinScratch is the per-join working memory, pooled so that a join
-// allocates only its results. plane is a dense g×g accumulator that is
-// all zero between uses; callers clear the cells they touch, and a
-// join returns its scratch to the pool only when it completes.
+// allocates only its results. plane is the dense g×g ratio lookup of
+// scaleCoverage and diag a histogram's diagonal, both all zero between
+// uses; a join returns its scratch to the pool only when it completes.
 type joinScratch struct {
 	plane   []float64
-	touched []int
+	diag    []float64
+	mass    []histogram.Cell
 	regions []histogram.Region
 }
 
@@ -87,6 +83,13 @@ var scratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
 func (sc *joinScratch) regionsFor(n int) []histogram.Region {
 	sc.regions = slices.Grow(sc.regions[:0], n)[:n]
 	return sc.regions
+}
+
+func (sc *joinScratch) diagFor(g int) []float64 {
+	if len(sc.diag) < g {
+		sc.diag = make([]float64, g)
+	}
+	return sc.diag[:g]
 }
 
 func (sc *joinScratch) planeFor(g int) []float64 {
@@ -124,7 +127,7 @@ func mapCells(grid histogram.Grid, src []histogram.Cell, fn func(x int, c histog
 			cells = append(cells, histogram.Cell{I: c.I, J: c.J, Count: v})
 		}
 	}
-	return histogram.NewSparsePosition(grid, cells)
+	return histogram.NewPosition(grid, cells)
 }
 
 // JoinAncestor joins sub-pattern anc with sub-pattern desc through an
@@ -139,37 +142,30 @@ func mapCells(grid histogram.Grid, src []histogram.Cell, fn func(x int, c histog
 // estimation applies, with participation equal to the estimate
 // (Fig 10, case 1) capped at the available node count.
 //
-// Every join costs O(nnz) of its operands plus pooled scratch: results
-// are emitted cell by cell in (i, j) order, and the Fig 9 partial sums
-// come from histogram.Regions instead of g×g planes. Every sum adds the
-// same terms in the same order as the dense formulation, so estimates
-// are bit-identical to it.
+// Every join costs O(g + nnz) of its operands plus pooled scratch:
+// results are emitted cell by cell in (i, j) order, and the Fig 9
+// partial sums come from histogram.Regions. Every sum adds the same
+// terms in the same order as the dense formulation, so estimates are
+// bit-identical to it.
 func JoinAncestor(anc, desc SubPattern) (SubPattern, error) {
 	if err := checkGrids(anc.Est, desc.Est); err != nil {
 		return SubPattern{}, err
 	}
-	sc := scratchPool.Get().(*joinScratch)
-	var out SubPattern
 	if anc.NoOverlap && anc.Cvg != nil {
-		out = joinAncestorNoOverlap(anc, desc, sc)
-	} else {
-		out = joinAncestorOverlap(anc, desc, sc)
+		sc := scratchPool.Get().(*joinScratch)
+		out := joinAncestorNoOverlap(anc, desc, sc)
+		scratchPool.Put(sc)
+		return out, nil
 	}
-	scratchPool.Put(sc)
-	return out, nil
+	return joinAncestorOverlap(anc, desc), nil
 }
 
-func joinAncestorOverlap(anc, desc SubPattern, sc *joinScratch) SubPattern {
+func joinAncestorOverlap(anc, desc SubPattern) SubPattern {
 	// Primitive (Fig 6) estimation against the descendant's estimation
 	// histogram: each participating ancestor node carries jnFct(anc)
 	// matches of its own sub-pattern and pairs with the descendant
 	// match mass in its join regions.
-	q := anc.Est.NonZeroCells()
-	regions := sc.regionsFor(len(q))
-	histogram.Regions(anc.Est.Grid().Size(), desc.Est.NonZeroCells(), q, regions)
-	est := mapCells(anc.Est.Grid(), q, func(x int, c histogram.Cell) float64 {
-		return c.Count * ancestorCoefOf(regions[x], c.I == c.J, desc.Est.Count(c.I, c.I), desc.Est.Count(c.J, c.J))
-	})
+	est, _ := EstimateAncestorBased(anc.Est, desc.Est)
 	// Participation, case 1 (overlap anchor): HistAB = EstAB, capped at
 	// the number of distinct anchor nodes actually present per cell.
 	hist := capCellwise(est, anc.Hist)
@@ -186,8 +182,8 @@ func joinAncestorNoOverlap(anc, desc SubPattern, sc *joinScratch) SubPattern {
 	// The inner product Hist×JnFct is the descendant's estimate mass.
 	// The CSR rows of the coverage group entries by covered (descendant)
 	// cell, so the descendant mass is read once per row and the masses
-	// of the ancestor cells accumulate in the scratch plane.
-	mass, touched := sc.planeFor(g), sc.touched[:0]
+	// of the ancestor cells accumulate in an Accumulator.
+	acc := histogram.NewAccumulator(g)
 	descEst := cellCursor{cells: desc.Est.NonZeroCells()}
 	vCell, rowStart, aCell, frac := anc.Cvg.CSR()
 	for r := range vCell {
@@ -198,34 +194,26 @@ func joinAncestorNoOverlap(anc, desc SubPattern, sc *joinScratch) SubPattern {
 		}
 		for k := rowStart[r]; k < rowStart[r+1]; k++ {
 			i, j := histogram.SplitCell(aCell[k])
-			if mass[i*g+j] == 0 {
-				touched = append(touched, i*g+j)
-			}
-			mass[i*g+j] += frac[k] * e
+			acc.Add(i, j, frac[k]*e)
 		}
 	}
-	slices.Sort(touched)
-	cells := make([]histogram.Cell, 0, len(touched))
+	sc.mass = acc.Cells(sc.mass[:0])
+	acc.Release()
+	cells := make([]histogram.Cell, 0, len(sc.mass))
 	ancEst, ancHist := cellCursor{cells: anc.Est.NonZeroCells()}, cellCursor{cells: anc.Hist.NonZeroCells()}
-	for x, idx := range touched {
-		if x > 0 && idx == touched[x-1] {
-			continue
-		}
-		i, j, sum := idx/g, idx%g, mass[idx]
-		mass[idx] = 0
-		if sum == 0 || i > j { // a decoded coverage may name cells below the diagonal
+	for _, c := range sc.mass {
+		if c.I > c.J { // a decoded coverage may name cells below the diagonal
 			continue
 		}
 		var jnFct float64 // as SubPattern.jnFct
-		if h := ancHist.count(i, j); !(h <= 0) {
-			jnFct = ancEst.count(i, j) / h
+		if h := ancHist.count(c.I, c.J); !(h <= 0) {
+			jnFct = ancEst.count(c.I, c.J) / h
 		}
-		if v := jnFct * sum; v != 0 {
-			cells = append(cells, histogram.Cell{I: i, J: j, Count: v})
+		if v := jnFct * c.Count; v != 0 {
+			cells = append(cells, histogram.Cell{I: c.I, J: c.J, Count: v})
 		}
 	}
-	sc.touched = touched
-	est := histogram.NewSparsePosition(grid, cells)
+	est := histogram.NewPosition(grid, cells)
 
 	// Participation (Fig 10, case 2):
 	// N = Hist_anc[i][j], M = Σ_{m=i..j, n=m..j} Hist_desc[m][n],
@@ -318,11 +306,8 @@ func JoinDescendant(anc, desc SubPattern) (SubPattern, error) {
 		est, hist = byRow(desc.Est, covFct), byRow(desc.Hist, covPart)
 	} else {
 		// Primitive descendant-based (Fig 6), against the ancestor
-		// estimate's summation planes.
-		ps := anc.Est.Sums()
-		est = mapCells(grid, desc.Est.NonZeroCells(), func(_ int, c histogram.Cell) float64 {
-			return c.Count * descendantCoef(ps, c.I, c.J)
-		})
+		// estimate's non-zero cells.
+		est, _ = EstimateDescendantBased(anc.Est, desc.Est)
 		hist = capCellwise(est, desc.Hist)
 	}
 	// Coverage propagation (Fig 10, case 2) applies when the descendant

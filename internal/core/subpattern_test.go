@@ -245,8 +245,7 @@ func TestChainedJoinsPropagateParticipation(t *testing.T) {
 
 func TestSubPatternValidateCatchesNaN(t *testing.T) {
 	grid := histogram.MustUniformGrid(2, 10)
-	h := histogram.NewPosition(grid)
-	h.Set(0, 1, math.NaN())
+	h := histogram.NewPosition(grid, []histogram.Cell{{I: 0, J: 1, Count: math.NaN()}})
 	sp := SubPattern{Est: h, Hist: h, Base: h}
 	if err := sp.validate(); err == nil {
 		t.Errorf("validate should reject NaN")
@@ -254,8 +253,8 @@ func TestSubPatternValidateCatchesNaN(t *testing.T) {
 }
 
 func TestJoinGridMismatch(t *testing.T) {
-	a := Leaf(histogram.NewPosition(histogram.MustUniformGrid(4, 100)), nil, false)
-	b := Leaf(histogram.NewPosition(histogram.MustUniformGrid(5, 100)), nil, false)
+	a := Leaf(histogram.NewPosition(histogram.MustUniformGrid(4, 100), nil), nil, false)
+	b := Leaf(histogram.NewPosition(histogram.MustUniformGrid(5, 100), nil), nil, false)
 	if _, err := JoinAncestor(a, b); err == nil {
 		t.Errorf("JoinAncestor grid mismatch: want error")
 	}

@@ -50,14 +50,23 @@ func Sum(parts ...*Position) (*Position, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("histogram: Sum of no histograms")
 	}
-	out := parts[0].Clone()
 	for _, p := range parts[1:] {
-		if err := validateJoinOperands(out, p); err != nil {
+		if err := validateJoinOperands(parts[0], p); err != nil {
 			return nil, err
 		}
-		p.EachNonZero(func(i, j int, c float64) { out.Add(i, j, c) })
 	}
-	return out, nil
+	acc := NewAccumulator(parts[0].grid.Size())
+	for _, c := range parts[0].cells {
+		acc.Add(c.I, c.J, c.Count)
+	}
+	// The total continues the first part's own total.
+	acc.total = parts[0].total
+	for _, p := range parts[1:] {
+		for _, c := range p.cells {
+			acc.Add(c.I, c.J, c.Count)
+		}
+	}
+	return acc.Position(parts[0].grid), nil
 }
 
 func synthesize(trueHist *Position, parts []*Position, combine func([]float64) float64) (*Position, error) {
@@ -69,15 +78,12 @@ func synthesize(trueHist *Position, parts []*Position, combine func([]float64) f
 			return nil, err
 		}
 	}
-	out := NewPosition(trueHist.grid)
+	var cells []Cell
 	ps := make([]float64, len(parts))
 	// Only the TRUE histogram's non-zero cells can contribute (the cell
-	// population is the denominator), so iterate the cached sparse cell
-	// list instead of the dense g×g plane — O(nnz) instead of O(g²),
-	// which matters on the wide concatenated grids of merged shard
-	// summaries. The iteration order matches the dense scan, so results
-	// are bit-identical.
-	for _, tc := range trueHist.NonZeroCells() {
+	// population is the denominator), so the result is built in their
+	// (i, j) order.
+	for _, tc := range trueHist.cells {
 		pop := tc.Count
 		if pop <= 0 {
 			continue
@@ -93,8 +99,8 @@ func synthesize(trueHist *Position, parts []*Position, combine func([]float64) f
 			ps[k] = p
 		}
 		if c := combine(ps) * pop; c != 0 {
-			out.Set(tc.I, tc.J, c)
+			cells = append(cells, Cell{I: tc.I, J: tc.J, Count: c})
 		}
 	}
-	return out, nil
+	return NewPosition(trueHist.grid, cells), nil
 }

@@ -131,27 +131,17 @@ func BuildCoverage(t *xmltree.Tree, pnodes []xmltree.NodeID, trueHist *Position)
 // one pass over the whole tree. Leaf-tag predicates cover nothing and
 // cost O(|P|). P-nodes do not nest, so sorted by start they are sorted
 // by end too, and P-nodes sharing an ancestor cell are consecutive:
-// each such run counts its descendants into one reused dense plane and
+// each such run counts its descendants into one reused Accumulator and
 // emits its entries before the next run starts; the entries are sorted
 // once at the end.
 func BuildCoverageFromCells(t *xmltree.Tree, pnodes []xmltree.NodeID, trueHist *Position, nc *NodeCells) (*Coverage, error) {
 	grid := trueHist.Grid()
-	g := grid.Size()
+	acc := NewAccumulator(grid.Size())
+	defer acc.Release()
 	var (
-		plane   []float64
-		touched []int
-		out     []entry
+		run []Cell
+		out []entry
 	)
-	flush := func(a uint32) {
-		for _, idx := range touched {
-			i, j := idx/g, idx%g
-			if pop := trueHist.Count(i, j); pop > 0 {
-				out = append(out, entry{uint32(key(i, j)), a, plane[idx] / pop})
-			}
-			plane[idx] = 0
-		}
-		touched = touched[:0]
-	}
 	cellOf := func(id xmltree.NodeID) uint32 { return uint32(key(int(nc.I[id]), int(nc.J[id]))) }
 	for cursor := 0; cursor < len(pnodes); cursor++ {
 		p := t.Node(pnodes[cursor])
@@ -165,17 +155,15 @@ func BuildCoverageFromCells(t *xmltree.Tree, pnodes []xmltree.NodeID, trueHist *
 		// The proper descendants of p: ids after p while starts stay
 		// inside p's interval (their ends nest inside automatically).
 		for id := int(pnodes[cursor]) + 1; id < len(t.Nodes) && t.Nodes[id].Start < p.End; id++ {
-			if plane == nil {
-				plane = make([]float64, g*g)
-			}
-			idx := int(nc.I[id])*g + int(nc.J[id])
-			if plane[idx] == 0 {
-				touched = append(touched, idx)
-			}
-			plane[idx]++
+			acc.Add(int(nc.I[id]), int(nc.J[id]), 1)
 		}
 		if a := cellOf(pnodes[cursor]); cursor+1 == len(pnodes) || cellOf(pnodes[cursor+1]) != a {
-			flush(a)
+			run = acc.Cells(run[:0])
+			for _, c := range run {
+				if pop := trueHist.Count(c.I, c.J); pop > 0 {
+					out = append(out, entry{uint32(key(c.I, c.J)), a, c.Count / pop})
+				}
+			}
 		}
 	}
 	slices.SortFunc(out, cmpEntry)

@@ -84,19 +84,22 @@ func TestFlattenMatchesMaps(t *testing.T) {
 	}
 }
 
-// TestPositionSparseConsistency: the cached sparse cell list backing
-// NonZero/EachNonZero/MarshalBinary tracks mutations.
+// TestPositionSparseConsistency: the non-zero cell list backs
+// NonZero, EachNonZero, Count and MarshalBinary alike.
 func TestPositionSparseConsistency(t *testing.T) {
-	h := NewPosition(MustUniformGrid(6, 24))
-	h.Set(0, 3, 2)
-	h.Set(2, 4, 1.5)
-	if h.NonZero() != 2 {
-		t.Fatalf("NonZero = %d, want 2", h.NonZero())
+	h := NewPosition(MustUniformGrid(6, 24), []Cell{{0, 3, 2}, {5, 5, 7}})
+	if h.NonZero() != 2 || h.Total() != 9 {
+		t.Fatalf("NonZero = %d, Total = %v, want 2 and 9", h.NonZero(), h.Total())
 	}
-	h.Set(2, 4, 0)
-	h.Add(5, 5, 7)
-	if h.NonZero() != 2 {
-		t.Fatalf("NonZero after mutation = %d, want 2", h.NonZero())
+	var visited int
+	h.EachNonZero(func(i, j int, c float64) {
+		if h.Count(i, j) != c {
+			t.Fatalf("Count(%d,%d) = %v, EachNonZero %v", i, j, h.Count(i, j), c)
+		}
+		visited++
+	})
+	if visited != 2 || h.Count(2, 4) != 0 || h.Count(4, 2) != 0 {
+		t.Fatalf("visited %d cells; misses %v %v", visited, h.Count(2, 4), h.Count(4, 2))
 	}
 	blob, err := h.MarshalBinary()
 	if err != nil {

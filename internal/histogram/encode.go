@@ -28,10 +28,12 @@ const (
 	flagIntegral = 1
 )
 
-// decodeMaxGridSize bounds the grid size decoders accept: a dense g×g
-// plane is allocated per decoded histogram, so untrusted blobs must not
-// dictate unbounded g. 4096 (a 128 MB plane) is far beyond any grid the
-// paper's experiments — or this repo's sweeps — use.
+// decodeMaxGridSize bounds the grid size decoders accept. A decoded
+// histogram holds only its cells, but estimating over it takes g×g
+// scratch (the join's ratio plane in Coverage.Scaled, an Accumulator),
+// so untrusted blobs must not dictate unbounded g. 4096 (a 128 MB plane)
+// is far beyond any grid the paper's experiments — or this repo's
+// sweeps — use.
 const decodeMaxGridSize = 1 << 12
 
 func checkDecodedGridSize(size uint64) error {
@@ -115,7 +117,9 @@ func UnmarshalPosition(data []byte) (*Position, error) {
 	if n > uint64(g*g) {
 		return nil, fmt.Errorf("histogram: cell count %d exceeds grid %dx%d", n, g, g)
 	}
-	h := NewPosition(grid)
+	// Each cell takes at least two bytes, which bounds the allocation
+	// an untrusted count can ask for.
+	cells := make([]Cell, 0, min(n, uint64(len(data)-r.off)/2))
 	prev := -1
 	for k := uint64(0); k < n; k++ {
 		d, err := r.uvarint()
@@ -151,9 +155,11 @@ func UnmarshalPosition(data []byte) (*Position, error) {
 			}
 			c = math.Float64frombits(binary.BigEndian.Uint64(fb))
 		}
-		h.Set(idx/g, idx%g, c)
+		if c != 0 {
+			cells = append(cells, Cell{I: idx / g, J: idx % g, Count: c})
+		}
 	}
-	return h, nil
+	return NewPosition(grid, cells), nil
 }
 
 // MarshalBinary encodes the coverage histogram with full fidelity:

@@ -22,41 +22,30 @@ func fuzzSeedBlobs(f *testing.F) [][]byte {
 
 	// Uniform grid, integral counts (the built-histogram common case).
 	uni := MustUniformGrid(4, 100)
-	h := NewPosition(uni)
-	h.Add(0, 0, 3)
-	h.Add(0, 3, 1)
-	h.Add(2, 3, 7)
-	add(h)
+	add(NewPosition(uni, []Cell{{0, 0, 3}, {0, 3, 1}, {2, 3, 7}}))
 
 	// Empty histogram.
-	add(NewPosition(uni))
+	add(NewPosition(uni, nil))
 
 	// Non-uniform grid (explicit bounds), integral counts.
 	nug, err := NewGrid([]int{0, 5, 9, 40, 100})
 	if err != nil {
 		f.Fatal(err)
 	}
-	h2 := NewPosition(nug)
-	h2.Add(1, 2, 2)
-	h2.Add(3, 3, 5)
-	add(h2)
+	add(NewPosition(nug, []Cell{{1, 2, 2}, {3, 3, 5}}))
 
 	// Fractional counts (estimated histograms) on both grid shapes.
-	h3 := NewPosition(uni)
-	h3.Add(1, 2, 0.625)
-	h3.Add(0, 1, 1e-3)
-	add(h3)
-	h4 := NewPosition(nug)
-	h4.Add(0, 3, 2.5)
-	add(h4)
+	add(NewPosition(uni, []Cell{{0, 1, 1e-3}, {1, 2, 0.625}}))
+	add(NewPosition(nug, []Cell{{0, 3, 2.5}}))
 
 	return blobs
 }
 
 // FuzzEncodeDecode round-trips the position-histogram binary encoding:
 // any blob UnmarshalPosition accepts must re-marshal and re-unmarshal
-// to an identical histogram (grid and per-cell counts, bit for bit),
-// and the decoder must never panic on arbitrary input.
+// to an identical histogram — grid, non-zero cells and total, bit for
+// bit — and the decoder must never panic on arbitrary input. A blob
+// cell with a zero count leaves no cell.
 func FuzzEncodeDecode(f *testing.F) {
 	for _, b := range fuzzSeedBlobs(f) {
 		f.Add(b)
@@ -64,11 +53,18 @@ func FuzzEncodeDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{'P'})
 	f.Add([]byte("Pjunkjunkjunk"))
+	// An integral blob on a 2-bucket grid whose second cell counts zero.
+	f.Add([]byte{posMagic, flagIntegral, 2, 8, 2, 1, 4, 3, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := UnmarshalPosition(data)
 		if err != nil {
 			return // invalid input is fine; panics are not
+		}
+		for _, c := range h.NonZeroCells() {
+			if c.Count == 0 {
+				t.Fatalf("decoded a zero cell (%d,%d)", c.I, c.J)
+			}
 		}
 		blob, err := h.MarshalBinary()
 		if err != nil {
@@ -80,6 +76,18 @@ func FuzzEncodeDecode(f *testing.F) {
 		}
 		if !h.Grid().Equal(h2.Grid()) {
 			t.Fatal("grid changed across round trip")
+		}
+		if a, b := math.Float64bits(h.Total()), math.Float64bits(h2.Total()); a != b {
+			t.Fatalf("total %v != %v", h.Total(), h2.Total())
+		}
+		a, b := h.NonZeroCells(), h2.NonZeroCells()
+		if len(a) != len(b) {
+			t.Fatalf("%d cells != %d", len(a), len(b))
+		}
+		for k := range a {
+			if a[k].I != b[k].I || a[k].J != b[k].J || math.Float64bits(a[k].Count) != math.Float64bits(b[k].Count) {
+				t.Fatalf("cell %d: %+v != %+v", k, a[k], b[k])
+			}
 		}
 		g := h.Grid().Size()
 		for i := 0; i < g; i++ {

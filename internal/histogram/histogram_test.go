@@ -157,6 +157,32 @@ func TestCheckLemma1OnBuiltHistograms(t *testing.T) {
 	}
 }
 
+// TestCheckLemma1Table covers the pairwise check directly: a violation
+// is a.I < b.I < a.J < b.J, seen from either cell — a partner starting
+// inside the cell and ending beyond it, or one starting before it and
+// ending inside it.
+func TestCheckLemma1Table(t *testing.T) {
+	grid := MustUniformGrid(6, 60)
+	for _, tc := range []struct {
+		name  string
+		cells []Cell
+		ok    bool
+	}{
+		{"empty", nil, true},
+		{"nested", []Cell{{0, 5, 1}, {1, 3, 2}, {2, 2, 4}}, true},
+		{"disjoint", []Cell{{0, 1, 1}, {2, 4, 1}}, true},
+		{"shared end bucket", []Cell{{0, 3, 1}, {2, 3, 1}}, true},
+		{"shared start bucket", []Cell{{1, 2, 1}, {1, 4, 1}}, true},
+		{"(0,3) has a partner ending beyond it", []Cell{{0, 3, 1}, {2, 5, 1}, {5, 5, 1}}, false},
+		{"(3,5) has a partner starting before it", []Cell{{0, 0, 1}, {1, 4, 1}, {3, 5, 1}}, false},
+	} {
+		err := NewPosition(grid, tc.cells).CheckLemma1()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: CheckLemma1 = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func randomTree(r *rand.Rand, n int) *xmltree.Tree {
 	b := xmltree.NewBuilder()
 	tags := []string{"a", "b", "c", "d"}
@@ -172,21 +198,23 @@ func randomTree(r *rand.Rand, n int) *xmltree.Tree {
 	return b.Tree()
 }
 
-func TestPositionCloneScaleSet(t *testing.T) {
+func TestPositionScaled(t *testing.T) {
 	tr, c, grid := fig1Setup(t, 4)
 	h := BuildPosition(tr, c.MustGet("tag=TA").Nodes, grid)
-	cl := h.Clone()
-	cl.Scale(2)
-	if cl.Total() != 2*h.Total() {
-		t.Errorf("scale: total = %v, want %v", cl.Total(), 2*h.Total())
+	sc := h.Scaled(2)
+	if sc.Total() != 2*h.Total() {
+		t.Errorf("scaled: total = %v, want %v", sc.Total(), 2*h.Total())
 	}
 	if h.Total() != 5 {
-		t.Errorf("clone mutated original: %v", h.Total())
+		t.Errorf("Scaled changed the original: %v", h.Total())
 	}
-	cl.Set(0, 0, 7)
-	want := 2*h.Total() - 2*h.Count(0, 0) + 7
-	if math.Abs(cl.Total()-want) > 1e-9 {
-		t.Errorf("set: total = %v, want %v", cl.Total(), want)
+	for _, cell := range h.NonZeroCells() {
+		if got := sc.Count(cell.I, cell.J); got != 2*cell.Count {
+			t.Errorf("scaled cell (%d,%d) = %v, want %v", cell.I, cell.J, got, 2*cell.Count)
+		}
+	}
+	if z := h.Scaled(0); z.NonZero() != 0 || z.Total() != 0 {
+		t.Errorf("scaled to zero: %d cells, total %v", z.NonZero(), z.Total())
 	}
 }
 
@@ -237,9 +265,7 @@ func TestMarshalRoundTripIntegral(t *testing.T) {
 
 func TestMarshalRoundTripFractional(t *testing.T) {
 	grid := MustUniformGrid(4, 100)
-	h := NewPosition(grid)
-	h.Set(0, 3, 1.25)
-	h.Set(1, 2, 0.6)
+	h := NewPosition(grid, []Cell{{0, 3, 1.25}, {1, 2, 0.6}})
 	data, err := h.MarshalBinary()
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -258,8 +284,7 @@ func TestMarshalRoundTripNonUniformGrid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("grid: %v", err)
 	}
-	h := NewPosition(g)
-	h.Set(0, 2, 5)
+	h := NewPosition(g, []Cell{{0, 2, 5}})
 	data, err := h.MarshalBinary()
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -456,8 +481,8 @@ func TestSumExactForDisjoint(t *testing.T) {
 }
 
 func TestSynthesizeGridMismatch(t *testing.T) {
-	a := NewPosition(MustUniformGrid(4, 100))
-	b := NewPosition(MustUniformGrid(5, 100))
+	a := NewPosition(MustUniformGrid(4, 100), nil)
+	b := NewPosition(MustUniformGrid(5, 100), nil)
 	if _, err := SynthesizeAnd(a, b); err == nil {
 		t.Errorf("grid mismatch: want error")
 	}

@@ -1,10 +1,9 @@
 package histogram
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"sync/atomic"
+	"sync"
 
 	"xmlest/internal/xmltree"
 )
@@ -19,67 +18,111 @@ import (
 // Counts are float64 because estimated histograms (the output of join
 // estimation and compound-predicate synthesis) are fractional.
 //
-// Join results are sparse: they hold only their non-zero cells (see
-// NewSparsePosition) and build the dense plane if they are mutated.
+// A Position is immutable: it holds only its non-zero cells, in (i, j)
+// order, and its total, so a histogram costs O(nnz) memory whatever the
+// grid size. Builders that count into cells go through an Accumulator.
 type Position struct {
-	grid   Grid
-	cells  []float64 // row-major: cells[i*g+j]; nil while sparse
-	sparse []Cell    // a sparse histogram's cells, which nz points at
-	total  float64
-
-	// Lazily built, atomically published caches: the sparse non-zero
-	// cell list and the partial/prefix summation planes. Any mutation
-	// (Add, Set, Scale) invalidates both; reads rebuild on demand.
-	// Concurrent readers may race to build, which only duplicates work —
-	// both build identical values from the same cells.
-	nz   atomic.Pointer[[]Cell]
-	sums atomic.Pointer[Sums]
+	grid  Grid
+	cells []Cell
+	total float64
 }
 
-// NewPosition returns an empty histogram on the given grid.
-func NewPosition(grid Grid) *Position {
-	g := grid.Size()
-	return &Position{grid: grid, cells: make([]float64, g*g)}
-}
-
-// NewSparsePosition returns the histogram whose non-zero cells are
-// cells, which must be in (i, j) order without zero counts; it takes
-// ownership of the slice. The total is the cells' sum in that order,
-// as if each had been Set in turn. Lookups binary-search the cells, so
-// a join result costs O(nnz) memory instead of a g×g plane.
-func NewSparsePosition(grid Grid, cells []Cell) *Position {
-	h := &Position{grid: grid, sparse: cells}
+// NewPosition returns the histogram whose non-zero cells are cells,
+// which must be in (i, j) order without zero counts; it takes ownership
+// of the slice. The total is the cells' sum in that order.
+func NewPosition(grid Grid, cells []Cell) *Position {
+	h := &Position{grid: grid, cells: cells}
 	for _, c := range cells {
 		h.total += c.Count
 	}
-	h.nz.Store(&h.sparse)
 	return h
 }
 
-// densify builds the dense plane of a sparse histogram before a
-// mutation.
-func (h *Position) densify() {
-	if h.cells != nil {
-		return
+// Accumulator sums values into the cells of a g-bucket grid: a pooled
+// g×g scratch plane, all zero between uses, and the list of cells
+// touched since the last drain, so emitting the non-zero cells costs
+// O(touched) rather than O(g²). It keeps the running total of every
+// value added, in the order added.
+type Accumulator struct {
+	g       int
+	plane   []float64
+	touched []int
+	total   float64
+}
+
+var accumulatorPool = sync.Pool{New: func() any { return new(Accumulator) }}
+
+// NewAccumulator returns an empty accumulator over a g-bucket grid. Call
+// Position or Release to return its scratch.
+func NewAccumulator(g int) *Accumulator {
+	a := accumulatorPool.Get().(*Accumulator)
+	if len(a.plane) < g*g {
+		a.plane = make([]float64, g*g)
 	}
-	g := h.grid.Size()
-	h.cells = make([]float64, g*g)
-	for _, c := range *h.nz.Load() {
-		h.cells[c.I*g+c.J] = c.Count
+	a.g = g
+	return a
+}
+
+// Add adds v to cell (i, j) and to the total.
+func (a *Accumulator) Add(i, j int, v float64) {
+	idx := i*a.g + j
+	if a.plane[idx] == 0 {
+		a.touched = append(a.touched, idx)
 	}
-	h.sparse = nil
+	a.plane[idx] += v
+	a.total += v
+}
+
+// Cells appends the accumulated non-zero cells to dst in (i, j) order
+// and returns it, leaving the accumulator empty (total included) for
+// reuse.
+func (a *Accumulator) Cells(dst []Cell) []Cell {
+	slices.Sort(a.touched)
+	for x, idx := range a.touched {
+		// A cell summed back to zero and touched again is listed twice.
+		if x > 0 && idx == a.touched[x-1] {
+			continue
+		}
+		if v := a.plane[idx]; v != 0 {
+			dst = append(dst, Cell{I: idx / a.g, J: idx % a.g, Count: v})
+		}
+		a.plane[idx] = 0
+	}
+	a.touched = a.touched[:0]
+	a.total = 0
+	return dst
+}
+
+// Position returns the accumulated histogram on grid, whose total is the
+// running total of the values added, and releases the accumulator.
+func (a *Accumulator) Position(grid Grid) *Position {
+	total := a.total
+	h := &Position{grid: grid, cells: a.Cells(make([]Cell, 0, len(a.touched))), total: total}
+	a.Release()
+	return h
+}
+
+// Release clears the accumulator and returns its scratch to the pool;
+// the accumulator must not be used afterwards.
+func (a *Accumulator) Release() {
+	for _, idx := range a.touched {
+		a.plane[idx] = 0
+	}
+	a.touched = a.touched[:0]
+	a.total = 0
+	accumulatorPool.Put(a)
 }
 
 // BuildPosition constructs the position histogram of the given node list
 // over the grid. The node list is typically a catalog entry's satisfying
 // set.
 func BuildPosition(t *xmltree.Tree, nodes []xmltree.NodeID, grid Grid) *Position {
-	h := NewPosition(grid)
+	acc := NewAccumulator(grid.Size())
 	for _, id := range nodes {
 		n := t.Node(id)
-		h.Add(grid.Bucket(n.Start), grid.Bucket(n.End), 1)
+		acc.Add(grid.Bucket(n.Start), grid.Bucket(n.End), 1)
 	}
-	return h
+	return acc.Position(grid)
 }
 
 // BuildTrue constructs the histogram of the TRUE predicate — every node
@@ -105,195 +148,87 @@ func BuildTrueFromCells(nc *NodeCells) *Position {
 	return buildFromCells(nc, len(nc.I)-1, func(k int) int { return k + 1 })
 }
 
-// buildFromCells counts nodes id(0..n-1) into their cells. The sparse
-// cell list is published as a by-product, from the cells the nodes
-// touched, so a fresh histogram's first join does not scan the g×g
-// plane.
+// buildFromCells counts nodes id(0..n-1) into their cells.
 func buildFromCells(nc *NodeCells, n int, id func(k int) int) *Position {
-	h := NewPosition(nc.grid)
-	g := nc.grid.Size()
-	var touched []int
+	acc := NewAccumulator(nc.grid.Size())
 	for k := 0; k < n; k++ {
 		node := id(k)
-		idx := int(nc.I[node])*g + int(nc.J[node])
-		if h.cells[idx] == 0 {
-			touched = append(touched, idx)
-		}
-		h.cells[idx]++
+		acc.Add(int(nc.I[node]), int(nc.J[node]), 1)
 	}
-	h.total = float64(n)
-	slices.Sort(touched)
-	cells := make([]Cell, len(touched))
-	for x, idx := range touched {
-		cells[x] = Cell{I: idx / g, J: idx % g, Count: h.cells[idx]}
-	}
-	h.nz.Store(&cells)
-	return h
+	return acc.Position(nc.grid)
 }
 
 // Grid returns the histogram's grid.
 func (h *Position) Grid() Grid { return h.grid }
 
-// Count returns the count in cell (i, j).
+// Count returns the count in cell (i, j), by binary search over the
+// non-zero cells.
 func (h *Position) Count(i, j int) float64 {
-	if h.cells == nil {
-		cells := *h.nz.Load()
-		x, ok := slices.BinarySearchFunc(cells, i*h.grid.Size()+j, func(c Cell, idx int) int {
-			return cmp.Compare(c.I*h.grid.Size()+c.J, idx)
-		})
-		if !ok {
-			return 0
+	lo, hi := 0, len(h.cells)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c := h.cells[m]; c.I < i || c.I == i && c.J < j {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		return cells[x].Count
 	}
-	return h.cells[i*h.grid.Size()+j]
-}
-
-// Add adds v to cell (i, j). v may be negative (used by estimation
-// intermediaries); totals are maintained.
-func (h *Position) Add(i, j int, v float64) {
-	h.densify()
-	h.cells[i*h.grid.Size()+j] += v
-	h.total += v
-	h.invalidate()
-}
-
-// Set overwrites cell (i, j).
-func (h *Position) Set(i, j int, v float64) {
-	h.densify()
-	idx := i*h.grid.Size() + j
-	h.total += v - h.cells[idx]
-	h.cells[idx] = v
-	h.invalidate()
-}
-
-// invalidate drops the cached sparse cell list and summation planes.
-func (h *Position) invalidate() {
-	h.nz.Store(nil)
-	h.sums.Store(nil)
+	if lo < len(h.cells) && h.cells[lo].I == i && h.cells[lo].J == j {
+		return h.cells[lo].Count
+	}
+	return 0
 }
 
 // Total returns the sum over all cells.
 func (h *Position) Total() float64 { return h.total }
 
 // NonZero returns the number of cells with a non-zero count (the
-// quantity Theorem 1 bounds by O(g)). It reads the cached sparse cell
-// list, so repeated calls on a built histogram skip the dense scan.
+// quantity Theorem 1 bounds by O(g)).
 func (h *Position) NonZero() int {
-	return len(h.NonZeroCells())
+	return len(h.cells)
 }
 
-// Clone returns a deep copy with a dense plane.
-func (h *Position) Clone() *Position {
-	out := &Position{grid: h.grid, cells: slices.Clone(h.cells), total: h.total}
-	if h.cells == nil {
-		out.nz.Store(h.nz.Load())
-		out.densify()
-		out.nz.Store(nil)
-	}
-	return out
-}
-
-// Scale multiplies every cell by f and returns the histogram for
-// chaining. A sparse histogram stays sparse: cells scaled to zero
-// leave it.
-func (h *Position) Scale(f float64) *Position {
-	if h.cells == nil {
-		cells := *h.nz.Load()
-		kept := make([]Cell, 0, len(cells))
-		for _, c := range cells {
-			if c.Count *= f; c.Count != 0 {
-				kept = append(kept, c)
-			}
+// Scaled returns the histogram with every cell multiplied by f and the
+// total multiplied by f. Cells scaled to zero leave it.
+func (h *Position) Scaled(f float64) *Position {
+	cells := make([]Cell, 0, len(h.cells))
+	for _, c := range h.cells {
+		if c.Count *= f; c.Count != 0 {
+			cells = append(cells, c)
 		}
-		h.total *= f
-		h.sums.Store(nil)
-		h.sparse = kept
-		h.nz.Store(&h.sparse)
-		return h
 	}
-	for i := range h.cells {
-		h.cells[i] *= f
-	}
-	h.total *= f
-	h.invalidate()
-	return h
+	return &Position{grid: h.grid, cells: cells, total: h.total * f}
 }
 
 // NonZeroCells returns the histogram's non-zero cells in (i, j) order —
-// the sparse representation whose size Theorem 1 bounds by O(g) for
-// built histograms. The list is computed on first use and cached until
-// the histogram is mutated. Callers must not modify the returned slice.
+// the representation whose size Theorem 1 bounds by O(g) for built
+// histograms. Callers must not modify the returned slice.
 func (h *Position) NonZeroCells() []Cell {
-	if p := h.nz.Load(); p != nil {
-		return *p
-	}
-	g := h.grid.Size()
-	cells := make([]Cell, 0, 2*g)
-	for i := 0; i < g; i++ {
-		for j := i; j < g; j++ {
-			if c := h.cells[i*g+j]; c != 0 {
-				cells = append(cells, Cell{I: i, J: j, Count: c})
-			}
-		}
-	}
-	h.nz.Store(&cells)
-	return cells
+	return h.cells
 }
 
-// Sums returns the histogram's partial/prefix summation planes,
-// computed on first use and cached until the histogram is mutated.
-// Sharing the cached planes across joins turns each subsequent join
-// against this histogram from O(g²) into O(nnz of the other operand).
-func (h *Position) Sums() *Sums {
-	if s := h.sums.Load(); s != nil {
-		return s
-	}
-	s := newSums(h)
-	h.sums.Store(s)
-	return s
-}
-
-// EachNonZero calls fn for every non-zero cell in (i, j) order. It
-// iterates the cached sparse cell list (see NonZeroCells); callers must
-// not mutate the histogram from inside fn.
+// EachNonZero calls fn for every non-zero cell in (i, j) order.
 func (h *Position) EachNonZero(fn func(i, j int, count float64)) {
-	for _, c := range h.NonZeroCells() {
+	for _, c := range h.cells {
 		fn(c.I, c.J, c.Count)
 	}
 }
 
-// CheckLemma1 verifies Lemma 1 on a built histogram: a non-zero count in
-// cell (i, j) implies zero counts in (k, l) with i < k < j and j < l
-// (a node starting strictly inside the first node's span but ending
-// beyond it would partially overlap it), and symmetrically in (k, l)
-// with k < i and i < l < j. Estimated histograms need not satisfy the
-// lemma; built ones must. Returns an error naming the first violation.
+// CheckLemma1 verifies Lemma 1 on a built histogram: no two non-zero
+// cells a and b may satisfy a.I < b.I < a.J < b.J, for a node starting
+// strictly inside another node's span but ending beyond it would
+// partially overlap it. Estimated histograms need not satisfy the
+// lemma; built ones must. It compares every pair of non-zero cells,
+// O(nnz²), and returns an error naming the first violation.
 func (h *Position) CheckLemma1() error {
-	g := h.grid.Size()
-	var err error
-	h.EachNonZero(func(i, j int, _ float64) {
-		if err != nil {
-			return
-		}
-		for k := i + 1; k < j; k++ {
-			for l := j + 1; l < g; l++ {
-				if h.Count(k, l) != 0 {
-					err = fmt.Errorf("histogram: lemma 1 violated: (%d,%d) and (%d,%d) both non-zero", i, j, k, l)
-					return
-				}
+	for _, a := range h.cells {
+		for _, b := range h.cells {
+			if a.I < b.I && b.I < a.J && a.J < b.J {
+				return fmt.Errorf("histogram: lemma 1 violated: (%d,%d) and (%d,%d) both non-zero", a.I, a.J, b.I, b.J)
 			}
 		}
-		for k := 0; k < i; k++ {
-			for l := i + 1; l < j; l++ {
-				if h.Count(k, l) != 0 {
-					err = fmt.Errorf("histogram: lemma 1 violated: (%d,%d) and (%d,%d) both non-zero", i, j, k, l)
-					return
-				}
-			}
-		}
-	})
-	return err
+	}
+	return nil
 }
 
 // validateJoinOperands checks that two histograms share a grid.

@@ -291,3 +291,67 @@ func sectionTree(r *rand.Rand, sections int) *xmltree.Tree {
 	b.End()
 	return b.Tree()
 }
+
+// Sums holds the Fig 9 partial-summation planes of a histogram, built
+// densely in O(g²) by the pseudo-code's recurrences. It is the reference
+// the plane-free Regions is checked against, bit for bit.
+//
+// Plane definitions for the source histogram H (see Region):
+//
+//	Self(i, j)   = H[i][j]
+//	Down(i, j)   = Σ_{l=i..j-1} H[i][l]
+//	Right(i, j)  = Σ_{k=i+1..j} H[k][j]
+//	Inside(i, j) = Σ_{k=i+1..j} Σ_{l=k..j-1} H[k][l]
+type Sums struct {
+	g                         int
+	self, down, right, inside []float64
+}
+
+// newSums computes every plane for h; the passes mirror the Fig 9
+// pseudo-code.
+func newSums(h *Position) *Sums {
+	g := h.grid.Size()
+	s := &Sums{
+		g:      g,
+		self:   make([]float64, g*g),
+		down:   make([]float64, g*g),
+		right:  make([]float64, g*g),
+		inside: make([]float64, g*g),
+	}
+	for _, c := range h.NonZeroCells() {
+		s.self[c.I*g+c.J] = c.Count
+	}
+	// Pass 1: column partial sums.
+	for i := 0; i < g; i++ {
+		for j := i + 1; j < g; j++ {
+			s.down[i*g+j] = s.down[i*g+j-1] + s.self[i*g+j-1]
+		}
+	}
+	// Pass 2: row and region partial sums.
+	for j := g - 1; j >= 0; j-- {
+		for i := j - 1; i >= 0; i-- {
+			s.right[i*g+j] = s.right[(i+1)*g+j] + s.self[(i+1)*g+j]
+			s.inside[i*g+j] = s.inside[(i+1)*g+j] + s.down[(i+1)*g+j]
+		}
+	}
+	return s
+}
+
+// Region returns the partial sums of cell (i, j).
+func (s *Sums) Region(i, j int) Region {
+	x := i*s.g + j
+	return Region{Self: s.self[x], Down: s.down[x], Right: s.right[x], Inside: s.inside[x]}
+}
+
+// fromPlane returns the histogram of a dense row-major g×g plane: its
+// non-zero cells in (i, j) order.
+func fromPlane(grid Grid, plane []float64) *Position {
+	g := grid.Size()
+	var cells []Cell
+	for idx, v := range plane {
+		if v != 0 {
+			cells = append(cells, Cell{I: idx / g, J: idx % g, Count: v})
+		}
+	}
+	return NewPosition(grid, cells)
+}

@@ -11,15 +11,16 @@ import (
 // randomPosition fills a histogram with random fractional counts in the
 // upper triangle (the shape estimation intermediaries have).
 func randomPosition(r *rand.Rand, g int) *Position {
-	h := NewPosition(MustUniformGrid(g, 4*g))
+	grid := MustUniformGrid(g, 4*g)
+	plane := make([]float64, g*g)
 	for i := 0; i < g; i++ {
 		for j := i; j < g; j++ {
 			if r.Intn(3) != 0 {
-				h.Set(i, j, float64(r.Intn(50))/3)
+				plane[i*g+j] = float64(r.Intn(50)) / 3
 			}
 		}
 	}
-	return h
+	return fromPlane(grid, plane)
 }
 
 func TestNonZeroCellsMatchEachNonZero(t *testing.T) {
@@ -42,43 +43,14 @@ func TestNonZeroCellsMatchEachNonZero(t *testing.T) {
 	}
 }
 
-func TestCachesInvalidateOnMutation(t *testing.T) {
-	h := NewPosition(MustUniformGrid(4, 16))
-	h.Set(0, 3, 2)
-	if n := len(h.NonZeroCells()); n != 1 {
-		t.Fatalf("nnz = %d, want 1", n)
-	}
-	if d := h.Sums().Down(0, 3); d != 0 {
-		t.Fatalf("Down(0,3) = %v, want 0", d)
-	}
-
-	h.Add(0, 1, 5) // mutation must drop both caches
-	if n := len(h.NonZeroCells()); n != 2 {
-		t.Fatalf("after Add: nnz = %d, want 2", n)
-	}
-	if d := h.Sums().Down(0, 3); d != 5 {
-		t.Fatalf("after Add: Down(0,3) = %v, want 5", d)
-	}
-
-	h.Scale(2)
-	if d := h.Sums().Down(0, 3); d != 10 {
-		t.Fatalf("after Scale: Down(0,3) = %v, want 10", d)
-	}
-
-	h.Set(0, 1, 0)
-	if n := len(h.NonZeroCells()); n != 1 {
-		t.Fatalf("after Set to zero: nnz = %d, want 1", n)
-	}
-}
-
-// TestSumsMatchBruteForce checks every cached plane against direct
+// TestSumsMatchBruteForce checks every reference plane against direct
 // summation of the definitions.
 func TestSumsMatchBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		g := 2 + r.Intn(10)
 		h := randomPosition(r, g)
-		s := h.Sums()
+		s := newSums(h)
 		for i := 0; i < g; i++ {
 			for j := i; j < g; j++ {
 				var down, right, inside, tri float64
@@ -103,29 +75,12 @@ func TestSumsMatchBruteForce(t *testing.T) {
 						t.Fatalf("g=%d %s(%d,%d) = %v, want %v", g, name, i, j, got, want)
 					}
 				}
-				check("Self", s.Self(i, j), h.Count(i, j))
-				check("Down", s.Down(i, j), down)
-				check("Right", s.Right(i, j), right)
-				check("Inside", s.Inside(i, j), inside)
-				check("Triangle", s.Region(i, j).Sum(), tri)
-			}
-		}
-		// Rect against brute rectangles, including clamped ranges.
-		for trial2 := 0; trial2 < 30; trial2++ {
-			i0, i1 := r.Intn(g)-1, r.Intn(g+2)
-			j0, j1 := r.Intn(g)-1, r.Intn(g+2)
-			var want float64
-			for k := max(i0, 0); k <= min(i1, g-1); k++ {
-				for l := max(j0, 0); l <= min(j1, g-1); l++ {
-					want += h.Count(k, l)
-				}
-			}
-			// Rect differences four prefix sums, so allow relative
-			// floating-point error on fractional counts.
-			got := s.Rect(i0, i1, j0, j1)
-			tol := 1e-9 * (1 + want)
-			if diff := got - want; diff > tol || diff < -tol {
-				t.Fatalf("Rect(%d,%d,%d,%d) = %v, want %v", i0, i1, j0, j1, got, want)
+				reg := s.Region(i, j)
+				check("Self", reg.Self, h.Count(i, j))
+				check("Down", reg.Down, down)
+				check("Right", reg.Right, right)
+				check("Inside", reg.Inside, inside)
+				check("Triangle", reg.Sum(), tri)
 			}
 		}
 	}
@@ -310,16 +265,17 @@ func TestRegionsMatchSums(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 200; trial++ {
 		g := 1 + r.Intn(40)
-		h := NewPosition(MustUniformGrid(g, 4*g))
+		plane := make([]float64, g*g)
 		for k, n := 0, r.Intn(3*g); k < n; k++ {
 			i := r.Intn(g)
 			j := i + r.Intn(g-i)
 			if trial%2 == 0 {
-				h.Add(i, j, 1)
+				plane[i*g+j]++
 			} else {
-				h.Set(i, j, r.ExpFloat64()/3)
+				plane[i*g+j] = r.ExpFloat64() / 3
 			}
 		}
+		h := fromPlane(MustUniformGrid(g, 4*g), plane)
 		var q []Cell
 		for i := 0; i < g; i++ {
 			for j := i; j < g; j++ {
@@ -330,7 +286,7 @@ func TestRegionsMatchSums(t *testing.T) {
 		}
 		out := make([]Region, len(q))
 		Regions(g, h.NonZeroCells(), q, out)
-		s := h.Sums()
+		s := newSums(h)
 		for x, c := range q {
 			want := s.Region(c.I, c.J)
 			bits := func(r Region) [4]uint64 {

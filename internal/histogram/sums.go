@@ -15,124 +15,21 @@ const MaxGridSize = 1 << 16
 
 // Cell is one non-zero cell of a position histogram, in the sparse
 // representation Theorem 1 motivates: a built histogram has O(g)
-// non-zero cells, so iterating cells beats scanning the dense g×g
-// array whenever g is large or the same histogram participates in many
-// joins.
+// non-zero cells, so a histogram stores and iterates only those.
 type Cell struct {
 	I, J  int
 	Count float64
 }
 
-// Sums holds every partial and prefix summation plane the Fig 6 / Fig 9
-// estimation formulas consult, precomputed once per histogram in O(g²)
-// and cached on the Position (see Position.Sums). With the planes in
-// hand, each per-cell join coefficient is O(1), so a join over a sparse
-// operand costs O(nnz) instead of O(g²).
+// Region holds the Fig 9 partial sums of a histogram H at one cell
+// (i, j):
 //
-// Plane definitions for the source histogram H:
-//
-//	Self(i, j)   = H[i][j]
-//	Down(i, j)   = Σ_{l=i..j-1} H[i][l]               (same start column, below)
-//	Right(i, j)  = Σ_{k=i+1..j} H[k][j]               (same end row, to the right)
-//	Inside(i, j) = Σ_{k=i+1..j} Σ_{l=k..j-1} H[k][l]  (strictly inside)
-//	Rect(...)    = axis-aligned rectangle sums from an up-left prefix matrix
-type Sums struct {
-	g                         int
-	self, down, right, inside []float64
-
-	// prefix[i][j] = Σ_{k<=i} Σ_{l<=j} H[k][l], with one extra row and
-	// column of zeros at index 0, used for the up-left region sums.
-	prefix []float64
-}
-
-// newSums computes every plane for h. The passes mirror the Fig 9
-// pseudo-code (see PHJoinDense for the literal transcription).
-func newSums(h *Position) *Sums {
-	g := h.grid.Size()
-	s := &Sums{
-		g:      g,
-		self:   make([]float64, g*g),
-		down:   make([]float64, g*g),
-		right:  make([]float64, g*g),
-		inside: make([]float64, g*g),
-		prefix: make([]float64, (g+1)*(g+1)),
-	}
-	copy(s.self, h.cells)
-	if h.cells == nil {
-		for _, c := range h.NonZeroCells() {
-			s.self[c.I*g+c.J] = c.Count
-		}
-	}
-	// Pass 1: column partial sums (the Fig 9 pass 1 recurrence).
-	for i := 0; i < g; i++ {
-		for j := i + 1; j < g; j++ {
-			s.down[i*g+j] = s.down[i*g+j-1] + s.self[i*g+j-1]
-		}
-	}
-	// Pass 2: row and region partial sums (Fig 9 pass 2).
-	for j := g - 1; j >= 0; j-- {
-		for i := j - 1; i >= 0; i-- {
-			s.right[i*g+j] = s.right[(i+1)*g+j] + s.self[(i+1)*g+j]
-			s.inside[i*g+j] = s.inside[(i+1)*g+j] + s.down[(i+1)*g+j]
-		}
-	}
-	// Up-left prefix matrix for the descendant-based regions.
-	for i := 0; i < g; i++ {
-		for j := 0; j < g; j++ {
-			s.prefix[(i+1)*(g+1)+j+1] = s.self[i*g+j] +
-				s.prefix[i*(g+1)+j+1] + s.prefix[(i+1)*(g+1)+j] - s.prefix[i*(g+1)+j]
-		}
-	}
-	return s
-}
-
-// GridSize returns the number of buckets per axis of the summed grid.
-func (s *Sums) GridSize() int { return s.g }
-
-// Self returns H[i][j].
-func (s *Sums) Self(i, j int) float64 { return s.self[i*s.g+j] }
-
-// Down returns the same-start-column partial sum below (i, j).
-func (s *Sums) Down(i, j int) float64 { return s.down[i*s.g+j] }
-
-// Right returns the same-end-row partial sum to the right of (i, j).
-func (s *Sums) Right(i, j int) float64 { return s.right[i*s.g+j] }
-
-// Inside returns the strictly-inside region sum of (i, j).
-func (s *Sums) Inside(i, j int) float64 { return s.inside[i*s.g+j] }
-
-// Rect returns Σ H[k][l] over k in [i0, i1], l in [j0, j1] (inclusive,
-// clamped to the grid; empty ranges return 0).
-func (s *Sums) Rect(i0, i1, j0, j1 int) float64 {
-	if i0 < 0 {
-		i0 = 0
-	}
-	if j0 < 0 {
-		j0 = 0
-	}
-	if i1 >= s.g {
-		i1 = s.g - 1
-	}
-	if j1 >= s.g {
-		j1 = s.g - 1
-	}
-	if i0 > i1 || j0 > j1 {
-		return 0
-	}
-	g1 := s.g + 1
-	return s.prefix[(i1+1)*g1+j1+1] - s.prefix[i0*g1+j1+1] -
-		s.prefix[(i1+1)*g1+j0] + s.prefix[i0*g1+j0]
-}
-
-// Region holds the partial sums of one cell (i, j) as Sums defines
-// them.
+//	Self   = H[i][j]
+//	Down   = Σ_{l=i..j-1} H[i][l]               (same start column, below)
+//	Right  = Σ_{k=i+1..j} H[k][j]               (same end row, to the right)
+//	Inside = Σ_{k=i+1..j} Σ_{l=k..j-1} H[k][l]  (strictly inside)
 type Region struct {
 	Self, Down, Right, Inside float64
-}
-
-// Region returns the partial sums of cell (i, j).
-func (s *Sums) Region(i, j int) Region {
-	return Region{Self: s.Self(i, j), Down: s.Down(i, j), Right: s.Right(i, j), Inside: s.Inside(i, j)}
 }
 
 // Sum returns Inside + Down + Right + Self: Σ_{m=i..j} Σ_{n=m..j} H[m][n],
@@ -151,11 +48,12 @@ var regionPool = sync.Pool{New: func() any { return new(regionScratch) }}
 // Regions writes into out[x] the partial sums of a histogram at query
 // cell q[x], given the histogram's non-zero cells h; h and q are in
 // (i, j) order on a grid of g buckets, and every query lies on or above
-// the diagonal. The values are bit-identical to Sums', but no g×g plane
-// is built: one sweep over the end buckets keeps every start row's
-// running Down sum in a g-vector, and the queries of each end bucket
-// accumulate Right and Inside from the diagonal downward, adding the
-// same non-zero terms in the same order as the dense recurrences.
+// the diagonal. The values are bit-identical to the Fig 9 recurrences
+// over a dense g×g plane, but no plane is built: one sweep over the end
+// buckets keeps every start row's running Down sum in a g-vector, and
+// the queries of each end bucket accumulate Right and Inside from the
+// diagonal downward, adding the same non-zero terms in the same order
+// as the dense recurrences.
 // The cost is O(g + nnz) plus, per end bucket holding queries, its
 // distance to the lowest query start.
 func Regions(g int, h, q []Cell, out []Region) {

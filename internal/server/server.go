@@ -88,7 +88,7 @@ type Config struct {
 	// policy uses shard defaults.
 	CompactionPolicy xmlest.CompactionPolicy
 
-	// SnapshotPath, when set, persists the estimator's summary (XQS1/2)
+	// SnapshotPath, when set, persists the estimator's summary (XQS2)
 	// there during Shutdown.
 	SnapshotPath string
 

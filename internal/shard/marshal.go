@@ -16,22 +16,15 @@ func (s *Set) Marshal(opts core.Options) ([]byte, error) {
 
 // LoadSet reconstructs a serving set of summary-only shards from an
 // XQS2 blob. The shards estimate but cannot count exactly, gain
-// predicates, or compact — the same contract as a summary-only
-// estimator loaded from an XQS1 blob.
+// predicates, or compact.
 func LoadSet(data []byte) (*Set, error) {
 	sums, err := core.UnmarshalShardSet(data)
 	if err != nil {
 		return nil, err
 	}
-	return SetFromSummaries(sums...), nil
-}
-
-// SetFromSummaries wraps prebuilt summaries (for example one loaded
-// XQS1 estimator) into a serving set of summary-only shards.
-func SetFromSummaries(sums ...core.ShardSummary) *Set {
 	shards := make([]*Shard, len(sums))
 	for i, ss := range sums {
 		shards[i] = &Shard{id: ss.ID, docs: ss.Docs, nodes: ss.Nodes, prebuilt: ss.Est}
 	}
-	return &Set{version: 1, shards: shards, lineage: newLineage()}
+	return &Set{version: 1, shards: shards, lineage: newLineage()}, nil
 }

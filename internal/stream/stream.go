@@ -151,14 +151,17 @@ func buildCounted(src Source, gridSize int, preds []EventPredicate, nodes int) (
 		Grid:       grid,
 		MayOverlap: make(map[string]bool, len(preds)+1),
 	}
-	trueHist := histogram.NewPosition(grid)
-	res.Hists["TRUE"] = trueHist
 	res.MayOverlap["TRUE"] = true
 	for _, p := range preds {
 		if _, dup := res.Hists[p.Name()]; dup {
 			return nil, fmt.Errorf("stream: duplicate predicate %q", p.Name())
 		}
-		res.Hists[p.Name()] = histogram.NewPosition(grid)
+		res.Hists[p.Name()] = nil // built after the scan
+	}
+	trueAcc := histogram.NewAccumulator(grid.Size())
+	accs := make([]*histogram.Accumulator, len(preds))
+	for k := range accs {
+		accs[k] = histogram.NewAccumulator(grid.Size())
 	}
 
 	// Pass 2: number nodes and feed the histograms. maxStart tracks,
@@ -176,10 +179,10 @@ func buildCounted(src Source, gridSize int, preds []EventPredicate, nodes int) (
 			res.MaxDepth = ev.Depth
 		}
 		i, j := grid.Bucket(ev.Start), grid.Bucket(ev.End)
-		trueHist.Add(i, j, 1)
+		trueAcc.Add(i, j, 1)
 		for k, p := range preds {
 			if p.Matches(ev) {
-				res.Hists[p.Name()].Add(i, j, 1)
+				accs[k].Add(i, j, 1)
 				if ev.Start < maxStart[k] {
 					res.MayOverlap[p.Name()] = true
 				} else {
@@ -190,6 +193,10 @@ func buildCounted(src Source, gridSize int, preds []EventPredicate, nodes int) (
 	})
 	if err != nil {
 		return nil, err
+	}
+	res.Hists["TRUE"] = trueAcc.Position(grid)
+	for k, p := range preds {
+		res.Hists[p.Name()] = accs[k].Position(grid)
 	}
 	return res, nil
 }

@@ -856,38 +856,20 @@ func (e *Estimator) StorageBytes() int {
 }
 
 // MarshalBinary serializes every summary structure, so estimation can
-// run later without the data (see LoadEstimator). A single-shard
-// estimator writes the monolithic XQS1 summary format; multi-shard
-// estimators write the XQS2 shard-set container.
+// run later without the data (see LoadEstimator), as one XQS2 shard-set
+// container for any number of shards.
 func (e *Estimator) MarshalBinary() ([]byte, error) {
-	set := e.set()
-	if set.Len() == 1 {
-		est, err := set.Shards()[0].Summary(e.opts)
-		if err != nil {
-			return nil, err
-		}
-		return est.MarshalBinary()
-	}
-	return set.Marshal(e.opts)
+	return e.set().Marshal(e.opts)
 }
 
-// LoadEstimator reconstructs an estimator from a summary blob produced
-// by Estimator.MarshalBinary — either a monolithic XQS1 summary or an
-// XQS2 shard-set container. The loaded estimator answers every
-// estimation query; exact counting requires the original Database.
+// LoadEstimator reconstructs an estimator from an XQS2 summary blob
+// produced by Estimator.MarshalBinary. The loaded estimator answers
+// every estimation query; exact counting requires the original
+// Database.
 func LoadEstimator(blob []byte) (*Estimator, error) {
-	var set *shard.Set
-	if core.IsShardSetBlob(blob) {
-		var err error
-		if set, err = shard.LoadSet(blob); err != nil {
-			return nil, err
-		}
-	} else {
-		inner, err := core.UnmarshalEstimator(blob)
-		if err != nil {
-			return nil, err
-		}
-		set = shard.SetFromSummaries(core.ShardSummary{ID: 1, Est: inner})
+	set, err := shard.LoadSet(blob)
+	if err != nil {
+		return nil, err
 	}
 	// The loaded set is the only set of a store of its own, so the
 	// estimator serves it live, with a compiled-query memo like a

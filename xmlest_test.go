@@ -1,6 +1,7 @@
 package xmlest_test
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"xmlest"
+	"xmlest/internal/core"
 	"xmlest/internal/datagen"
 	"xmlest/internal/xmltree"
 )
@@ -209,6 +211,52 @@ func TestEstimatorPersistenceFacade(t *testing.T) {
 	}
 	if _, err := xmlest.LoadEstimator([]byte("junk")); err == nil {
 		t.Errorf("LoadEstimator(junk): want error")
+	}
+}
+
+// TestOneShardSummaryIsXQS2: a one-shard summary is written as an XQS2
+// container that reloads and re-marshals to the same bytes, and a bare
+// XQS1 summary record is not a loadable summary.
+func TestOneShardSummaryIsXQS2(t *testing.T) {
+	est, err := openFig1(t).NewEstimator(xmlest.Options{GridSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.ShardCount() != 1 {
+		t.Fatalf("ShardCount = %d, want 1", est.ShardCount())
+	}
+	blob, err := est.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(blob, []byte("XQS2")) {
+		t.Fatalf("one-shard summary starts with %q, want XQS2", blob[:min(4, len(blob))])
+	}
+	loaded, err := xmlest.LoadEstimator(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := loaded.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Fatal("reloaded summary re-marshals to different bytes")
+	}
+
+	shards, err := core.UnmarshalShardSet(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record, err := shards[0].Est.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(record, []byte("XQS1")) {
+		t.Fatalf("shard record starts with %q, want XQS1", record[:min(4, len(record))])
+	}
+	if _, err := xmlest.LoadEstimator(record); err == nil || !strings.Contains(err.Error(), "XQS2") {
+		t.Fatalf("LoadEstimator(XQS1 record) = %v, want an error naming XQS2", err)
 	}
 }
 
