@@ -349,9 +349,10 @@ func BenchmarkAblationPrecomputedCoefficients(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var total float64
-			ha.EachNonZero(func(x, y int, c float64) {
-				total += c * coef.Count(x, y)
-			})
+			cc := coef.Cursor()
+			for _, c := range ha.NonZeroCells() {
+				total += c.Count * cc.Count(c.I, c.J)
+			}
 			if total == 0 {
 				b.Fatal("zero estimate")
 			}

@@ -11,7 +11,9 @@
 // every /append is written to a write-ahead log (fsynced per -fsync)
 // before it is acknowledged, checkpoints persist shard summaries and
 // truncate the log, and a restart (even after kill -9) recovers every
-// acknowledged batch with bit-identical estimates:
+// acknowledged batch with bit-identical estimates. Concurrent appends
+// share one WAL write and fsync (group commit; /stats reports it under
+// durability.group_commit):
 //
 //	xqestd -dataset dblp -data-dir /var/lib/xqest -fsync always -checkpoint 1m
 //	xqestd -data-dir /var/lib/xqest                # recover and keep serving
@@ -96,8 +98,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable data directory: WAL + checkpoints; appends survive crashes")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval or off")
 	fsyncInterval := flag.Duration("fsync-interval", 0, "fsync cadence for -fsync interval (default 100ms)")
-	commitDelay := flag.Duration("commit-delay", 0, "group-commit latency budget: wait up to this long for more appends to share one fsync (0 = natural coalescing only)")
-	ingestWorkers := flag.Int("ingest-workers", 0, "concurrent parse/summary-build workers on the append pipeline (0 = GOMAXPROCS)")
 	checkpoint := flag.Duration("checkpoint", 0, "background checkpoint interval with -data-dir (0 = shutdown only)")
 	follow := flag.String("follow", "", "run as a read-only follower replicating the leader at this base URL (requires -data-dir; start with the same -dataset/-data/-grid bootstrap as the leader)")
 	staleness := flag.Duration("staleness", 0, "follower staleness budget: leader silence beyond this marks /healthz degraded (0 = default 30s)")
@@ -185,8 +185,6 @@ func main() {
 		db, err = cliutil.OpenDurableDatabase(*dataDir, cfg.Options, cliutil.DurableFlags{
 			Fsync:         *fsync,
 			FsyncInterval: *fsyncInterval,
-			CommitDelay:   *commitDelay,
-			IngestWorkers: *ingestWorkers,
 			Data:          *data,
 			Dataset:       *dataset,
 			Scale:         *scale,

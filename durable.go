@@ -30,23 +30,6 @@ type DurableConfig struct {
 	// FsyncInterval is the "interval" policy's cadence (default 100ms).
 	FsyncInterval time.Duration
 
-	// SegmentBytes rolls WAL segments at this size (default 64 MiB).
-	SegmentBytes int64
-
-	// CommitDelay is the group-commit latency budget: after the first
-	// batch of a group arrives, the committer waits up to this long for
-	// more concurrent appends to share the group's single fsync. 0 (the
-	// default) adds no delay — groups still form naturally from
-	// whatever queued while the previous commit was in flight.
-	CommitDelay time.Duration
-
-	// MaxGroupBytes caps one commit group's payload (default 8 MiB).
-	MaxGroupBytes int64
-
-	// IngestWorkers bounds concurrent parse + summary-build work on the
-	// append pipeline's CPU stage (default GOMAXPROCS).
-	IngestWorkers int
-
 	// Bootstrap supplies the initial corpus and predicate vocabulary.
 	// It runs on every boot: a fresh data directory adopts the returned
 	// database outright, while a directory holding a checkpoint keeps
@@ -106,17 +89,8 @@ func OpenDurable(dir string, cfg DurableConfig) (*Database, error) {
 	}
 	d, err := shard.OpenDurable(dir, bootstrap, shard.DurableConfig{
 		Options: cfg.Options,
-		WAL: wal.Options{
-			Mode:         mode,
-			Interval:     cfg.FsyncInterval,
-			SegmentBytes: cfg.SegmentBytes,
-		},
-		Commit: wal.CommitterOptions{
-			MaxDelay:      cfg.CommitDelay,
-			MaxGroupBytes: cfg.MaxGroupBytes,
-		},
-		IngestWorkers: cfg.IngestWorkers,
-		FS:            cfg.FS,
+		WAL:     wal.Options{Mode: mode, Interval: cfg.FsyncInterval},
+		FS:      cfg.FS,
 	})
 	if err != nil {
 		return nil, err

@@ -22,15 +22,6 @@ type DurableFlags struct {
 	Fsync         string
 	FsyncInterval time.Duration
 
-	// CommitDelay is the group-commit latency budget (-commit-delay):
-	// how long the committer waits for more concurrent appends to share
-	// one fsync. 0 keeps natural coalescing only.
-	CommitDelay time.Duration
-
-	// IngestWorkers bounds concurrent parse + summary-build work on the
-	// append pipeline (-ingest-workers; 0 = GOMAXPROCS).
-	IngestWorkers int
-
 	// Data, Dataset, Scale and Seed are the corpus flags; they
 	// bootstrap a fresh directory (see OpenDatabase).
 	Data    string
@@ -70,8 +61,6 @@ func OpenDurableDatabase(dataDir string, opts xmlest.Options, f DurableFlags) (*
 		Options:       opts,
 		Fsync:         f.Fsync,
 		FsyncInterval: f.FsyncInterval,
-		CommitDelay:   f.CommitDelay,
-		IngestWorkers: f.IngestWorkers,
 		Bootstrap:     bootstrap,
 		FS:            fs,
 	})

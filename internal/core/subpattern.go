@@ -99,25 +99,6 @@ func (sc *joinScratch) planeFor(g int) []float64 {
 	return sc.plane[:g*g]
 }
 
-// cellCursor reads a histogram's non-zero cells at ascending cells in
-// one pass, in place of a lookup per cell.
-type cellCursor struct {
-	cells []histogram.Cell
-	at    int
-}
-
-// count returns the count at cell (i, j), or zero; successive calls
-// must ask for ascending cells.
-func (c *cellCursor) count(i, j int) float64 {
-	for c.at < len(c.cells) && (c.cells[c.at].I < i || c.cells[c.at].I == i && c.cells[c.at].J < j) {
-		c.at++
-	}
-	if c.at < len(c.cells) && c.cells[c.at].I == i && c.cells[c.at].J == j {
-		return c.cells[c.at].Count
-	}
-	return 0
-}
-
 // mapCells returns the sparse histogram of fn(x, src[x]) over the cells
 // src, in their order, without the zero values.
 func mapCells(grid histogram.Grid, src []histogram.Cell, fn func(x int, c histogram.Cell) float64) *histogram.Position {
@@ -184,11 +165,11 @@ func joinAncestorNoOverlap(anc, desc SubPattern, sc *joinScratch) SubPattern {
 	// cell, so the descendant mass is read once per row and the masses
 	// of the ancestor cells accumulate in an Accumulator.
 	acc := histogram.NewAccumulator(g)
-	descEst := cellCursor{cells: desc.Est.NonZeroCells()}
+	descEst := desc.Est.Cursor()
 	vCell, rowStart, aCell, frac := anc.Cvg.CSR()
 	for r := range vCell {
 		m, n := histogram.SplitCell(vCell[r])
-		e := descEst.count(m, n)
+		e := descEst.Count(m, n)
 		if e == 0 {
 			continue
 		}
@@ -200,14 +181,14 @@ func joinAncestorNoOverlap(anc, desc SubPattern, sc *joinScratch) SubPattern {
 	sc.mass = acc.Cells(sc.mass[:0])
 	acc.Release()
 	cells := make([]histogram.Cell, 0, len(sc.mass))
-	ancEst, ancHist := cellCursor{cells: anc.Est.NonZeroCells()}, cellCursor{cells: anc.Hist.NonZeroCells()}
+	ancEst, ancHist := anc.Est.Cursor(), anc.Hist.Cursor()
 	for _, c := range sc.mass {
 		if c.I > c.J { // a decoded coverage may name cells below the diagonal
 			continue
 		}
 		var jnFct float64 // as SubPattern.jnFct
-		if h := ancHist.count(c.I, c.J); !(h <= 0) {
-			jnFct = ancEst.count(c.I, c.J) / h
+		if h := ancHist.Count(c.I, c.J); !(h <= 0) {
+			jnFct = ancEst.Count(c.I, c.J) / h
 		}
 		if v := jnFct * c.Count; v != 0 {
 			cells = append(cells, histogram.Cell{I: c.I, J: c.J, Count: v})
@@ -247,10 +228,10 @@ func scaleCoverage(cvg *histogram.Coverage, hist, base *histogram.Position, sc *
 	g := cvg.Grid().Size()
 	ratio := sc.planeFor(g)
 	cells := base.NonZeroCells()
-	h := cellCursor{cells: hist.NonZeroCells()}
+	h := hist.Cursor()
 	for _, c := range cells {
 		if c.Count > 0 {
-			ratio[c.I*g+c.J] = h.count(c.I, c.J) / c.Count
+			ratio[c.I*g+c.J] = h.Count(c.I, c.J) / c.Count
 		}
 	}
 	out := cvg.Scaled(ratio)
@@ -324,9 +305,9 @@ func JoinDescendant(anc, desc SubPattern) (SubPattern, error) {
 // capCellwise returns min(est, cap) per cell — participation can never
 // exceed the distinct nodes available in a cell.
 func capCellwise(est, capH *histogram.Position) *histogram.Position {
-	caps := cellCursor{cells: capH.NonZeroCells()}
+	caps := capH.Cursor()
 	return mapCells(est.Grid(), est.NonZeroCells(), func(_ int, c histogram.Cell) float64 {
-		if cp := caps.count(c.I, c.J); c.Count > cp {
+		if cp := caps.Count(c.I, c.J); c.Count > cp {
 			return cp
 		}
 		return c.Count

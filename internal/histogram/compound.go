@@ -82,14 +82,18 @@ func synthesize(trueHist *Position, parts []*Position, combine func([]float64) f
 	ps := make([]float64, len(parts))
 	// Only the TRUE histogram's non-zero cells can contribute (the cell
 	// population is the denominator), so the result is built in their
-	// (i, j) order.
+	// (i, j) order, reading each part once through a cursor.
+	cursors := make([]CellCursor, len(parts))
+	for k, part := range parts {
+		cursors[k] = part.Cursor()
+	}
 	for _, tc := range trueHist.cells {
 		pop := tc.Count
 		if pop <= 0 {
 			continue
 		}
-		for k, part := range parts {
-			p := part.Count(tc.I, tc.J) / pop
+		for k := range cursors {
+			p := cursors[k].Count(tc.I, tc.J) / pop
 			if p < 0 {
 				p = 0
 			}

@@ -167,7 +167,7 @@ func (h *Position) Count(i, j int) float64 {
 	lo, hi := 0, len(h.cells)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if c := h.cells[m]; c.I < i || c.I == i && c.J < j {
+		if before(h.cells[m], i, j) {
 			lo = m + 1
 		} else {
 			hi = m
@@ -178,6 +178,50 @@ func (h *Position) Count(i, j int) float64 {
 	}
 	return 0
 }
+
+// Cursor returns a cursor over the histogram's non-zero cells.
+func (h *Position) Cursor() CellCursor { return CellCursor{cells: h.cells} }
+
+// CellCursor reads a histogram's non-zero cells at ascending cells in
+// one pass, in place of a Count lookup per cell. It gallops: a lookup
+// that skips k cells costs O(log k), so walking a sparse histogram's
+// cells against a dense one costs O(sparse · log(dense/sparse)), not
+// O(dense).
+type CellCursor struct {
+	cells []Cell
+	at    int
+}
+
+// Count returns the count at cell (i, j), or zero; successive calls
+// must ask for ascending (i, j) cells.
+func (c *CellCursor) Count(i, j int) float64 {
+	cells, lo := c.cells, c.at
+	if lo < len(cells) && before(cells[lo], i, j) {
+		// Double the step until it passes (i, j), then binary search
+		// the last step: cells[lo] is before (i, j), cells[hi] is not.
+		step := 1
+		for lo+step < len(cells) && before(cells[lo+step], i, j) {
+			lo += step
+			step *= 2
+		}
+		hi := min(lo+step, len(cells))
+		for hi-lo > 1 {
+			if m := int(uint(lo+hi) >> 1); before(cells[m], i, j) {
+				lo = m
+			} else {
+				hi = m
+			}
+		}
+		c.at = hi
+	}
+	if c.at < len(cells) && cells[c.at].I == i && cells[c.at].J == j {
+		return cells[c.at].Count
+	}
+	return 0
+}
+
+// before reports whether cell c precedes cell (i, j) in (i, j) order.
+func before(c Cell, i, j int) bool { return c.I < i || c.I == i && c.J < j }
 
 // Total returns the sum over all cells.
 func (h *Position) Total() float64 { return h.total }

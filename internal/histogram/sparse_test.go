@@ -43,6 +43,32 @@ func TestNonZeroCellsMatchEachNonZero(t *testing.T) {
 	}
 }
 
+// TestCellCursorMatchesCount walks ascending cells of random sparsity —
+// every cell, a random subset, runs that skip far ahead — and requires
+// the cursor to read exactly what Count reads.
+func TestCellCursorMatchesCount(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		g := 1 + r.Intn(20)
+		h := randomPosition(r, g)
+		keep := 1 + r.Intn(g*g)
+		cur := h.Cursor()
+		for i := 0; i < g; i++ {
+			for j := 0; j < g; j++ {
+				if r.Intn(keep) != 0 {
+					continue
+				}
+				if got, want := cur.Count(i, j), h.Count(i, j); got != want {
+					t.Fatalf("trial %d (g=%d) cell (%d,%d): cursor %v, Count %v", trial, g, i, j, got, want)
+				}
+			}
+		}
+		if got := cur.Count(g, 0); got != 0 {
+			t.Fatalf("trial %d: cursor past the last cell read %v", trial, got)
+		}
+	}
+}
+
 // TestSumsMatchBruteForce checks every reference plane against direct
 // summation of the definitions.
 func TestSumsMatchBruteForce(t *testing.T) {

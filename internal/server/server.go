@@ -57,10 +57,9 @@ type Config struct {
 	// MaxInflightAppends bounds concurrent /append requests (ingest
 	// backpressure); excess requests receive 503 + Retry-After rather
 	// than queue without bound. The default is sized for group commit:
-	// admitted appends overlap their parse work on the ingest pool and
-	// then wait together in the commit queue, where everything waiting
-	// shares one fsync — so the bound is a queue-depth cap, not a
-	// concurrency tax. 0 means DefaultMaxInflightAppends; negative is
+	// admitted appends wait together at the ingest coalescer, which
+	// merges everything waiting into one build and one fsync — so the
+	// bound is a queue-depth cap, not a concurrency tax. 0 means DefaultMaxInflightAppends; negative is
 	// rejected.
 	MaxInflightAppends int
 
@@ -170,9 +169,9 @@ type Config struct {
 const (
 	DefaultAddr = "127.0.0.1:8080"
 	// DefaultMaxInflightAppends admits enough concurrent appends for
-	// group commit to amortize fsyncs well: admitted requests parse in
-	// parallel (bounded by the ingest pool) and queue at the committer,
-	// so a deep bound costs queue memory, not lock contention. The old
+	// group commit to amortize fsyncs well: admitted requests queue at
+	// the ingest coalescer, which merges what waits into one build and
+	// one fsync, so a deep bound costs queue memory, not lock contention. The old
 	// bound of 4 effectively serialized the write path — each append
 	// held its own fsync — capping groups at the bound.
 	DefaultMaxInflightAppends = 64

@@ -49,7 +49,7 @@ func runGroupChaosWorkload(dir string, fsys fsio.FS) (acked []int, shutdown func
 // groupChaosOps is the fixed op range the group sweeps inject into.
 // Unlike the serial sweep the op schedule is not deterministic —
 // concurrency reorders I/O and changes how batches group — so a
-// fault-free run performs a varying number of ops (43-71 observed).
+// fault-free run performs a varying number of ops (38-53 observed).
 // Sweeping a constant range keeps the subtest list the same on every
 // run; an index a run never reaches injects nothing, and that case
 // must then ack every batch.
@@ -137,11 +137,12 @@ func TestGroupFsyncFailureRefusesEveryBatch(t *testing.T) {
 	verifyAckedOrAbsent(t, dir, nil, "group fsync-failure")
 }
 
-// TestGroupCommitRaceStress hammers the committer from concurrent
-// appenders while checkpoints and compactions race it, then checks the
-// group-commit accounting: every acked batch is counted exactly once
-// across the formed groups, and the recovered store holds every acked
-// document. Run with -race this is the committer's data-race probe.
+// TestGroupCommitRaceStress hammers the append pipeline from concurrent
+// appenders while checkpoints and compactions race it for the write
+// lock, then checks the group-commit accounting: every acked batch is
+// counted exactly once across the committed groups, and the recovered
+// store holds every acked document. Run with -race this is the
+// pipeline's data-race probe.
 func TestGroupCommitRaceStress(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDurable(dir, nil, chaosCfg(nil))

@@ -8,12 +8,12 @@ package shard
 import "xmlest/internal/metrics"
 
 // Collect exports the durable layer's families: WAL watermarks (via the
-// log and committer collectors), checkpoint progress and failures, the
-// degraded flags, commit group sizes, pre-commit queue wait, and the
-// per-stage append pipeline histograms.
+// log's collector), checkpoint progress and failures, the degraded
+// flags, commit group sizes (whose _count and _sum are the groups and
+// batches committed), pre-commit queue wait, and the per-stage append
+// pipeline histograms.
 func (d *DurableStore) Collect(e *metrics.Expo) {
 	d.log.Collect(e)
-	d.committer.Collect(e)
 	d.stages.Collect(e)
 
 	e.Counter("xqest_checkpoints_total", "Checkpoints taken by this process.", float64(d.checkpoints.Load()))

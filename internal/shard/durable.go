@@ -49,22 +49,6 @@ type DurableConfig struct {
 	// WAL tunes the write-ahead log: fsync policy and segment size.
 	WAL wal.Options
 
-	// Commit tunes the group-commit layer: the MaxDelay latency budget
-	// and the per-group byte cap. The zero value groups naturally (no
-	// added latency) — see wal.CommitterOptions.
-	//
-	// The store spends MaxDelay at the INGEST stage, not the WAL
-	// stage: waiting for stragglers before the parse + summary build
-	// amortizes the build, the shard install, and the fsync all at
-	// once, where a post-build wait could only amortize the fsync.
-	// The wal.Committer therefore runs with no delay of its own.
-	Commit wal.CommitterOptions
-
-	// IngestWorkers bounds concurrent parse + summary-build work — the
-	// CPU stage of the append pipeline, which runs outside every lock.
-	// <= 0 means GOMAXPROCS.
-	IngestWorkers int
-
 	// FS is the filesystem the store (manifest, checkpoints, and —
 	// unless WAL.FS overrides it — the WAL) runs on; nil means the real
 	// one. Fault-injection tests substitute an fsio.FaultFS.
@@ -136,8 +120,8 @@ type DurabilityStats struct {
 }
 
 // GroupCommitStats digests the group-commit write path: how well
-// concurrent appends amortize fsyncs, and how long batches wait in the
-// commit queue.
+// concurrent appends amortize fsyncs, and how long batches wait before
+// their group commits.
 type GroupCommitStats struct {
 	// Groups counts committed groups; Batches counts the appends across
 	// them — Batches/Groups is the lifetime mean group size.
@@ -149,8 +133,8 @@ type GroupCommitStats struct {
 	// lifetime rate.
 	Fsyncs       uint64  `json:"fsyncs"`
 	FsyncsPerSec float64 `json:"fsyncs_per_sec"`
-	// QueueWait digests the time batches spend between submission and
-	// group formation — the latency cost of grouping — in seconds.
+	// QueueWait digests the time batches spend between arrival and
+	// their group's commit — the latency cost of grouping — in seconds.
 	QueueWait metrics.Summary `json:"queue_wait"`
 }
 
@@ -188,23 +172,24 @@ type DurableStore struct {
 	cpFailures atomic.Uint64
 
 	// Group-commit write pipeline: the ingest coalescer drains every
-	// append batch queued behind the CPU stage into ONE parse + summary
-	// build (so a burst of concurrent appends lands as one shard with
-	// one WAL record instead of N), ingestSem bounds how many such
-	// builds run at once (outside all locks), the committer owns the
-	// log+install stage, and the histograms feed /stats.
-	committer     *wal.Committer
-	ingestSem     chan struct{}
+	// append batch queued behind the build stage into ONE parse +
+	// summary build (so a burst of concurrent appends lands as one shard
+	// with one WAL record instead of N); a group takes a submission slot
+	// and goes to one of two long-lived build goroutines, so at most two
+	// build at once. A finished build joins the ready list,
+	// and whoever next holds the store's write lock commits the whole
+	// list with one WAL group write. The histograms feed /stats; the
+	// group-size histogram is also the group and batch count.
 	ingestQ       chan *ingestReq
-	ingestStop    chan struct{}
+	groups        chan []*ingestReq // formed groups, to the build goroutines
 	ingestDone    chan struct{}
-	ingestCap     int64
-	ingestDelay   time.Duration
 	submitSlots   chan struct{}
 	ingestMu      sync.RWMutex // guards ingestClosed against in-flight AppendDocs
 	ingestClosed  bool
 	ingestEnq     sync.WaitGroup // AppendDocs calls between closed-check and enqueue
-	ingestWorkers sync.WaitGroup // dispatched build goroutines
+	ingestWorkers sync.WaitGroup // the build goroutines
+	readyMu       sync.Mutex
+	ready         []*submission // built, waiting for a commit
 	groupSizes    *metrics.Histogram
 	queueWait     *metrics.Histogram
 	openedAt      time.Time
@@ -216,9 +201,19 @@ type DurableStore struct {
 	stages *trace.Recorder
 }
 
+// Bounds of the append pipeline.
+const (
+	// maxIngestBytes caps one coalesced build: the greedy drain stops
+	// taking batches once the group's documents reach this many bytes.
+	maxIngestBytes = 8 << 20
+	// ingestQueueDepth bounds batches waiting for the coalescer;
+	// AppendDocs blocks once it is full.
+	ingestQueueDepth = 256
+)
+
 // ingestReq is one AppendDocs batch waiting for the ingest coalescer;
-// res delivers the built (possibly shared) shard and its commit handle,
-// or the batch's own parse/build error.
+// res delivers the committed (possibly shared) shard, or the error that
+// refused the batch.
 type ingestReq struct {
 	docs [][]byte
 	at   time.Time
@@ -227,8 +222,20 @@ type ingestReq struct {
 
 type ingestRes struct {
 	sh  *Shard
-	p   *wal.Pending
 	err error
+}
+
+// submission is one built shard on its way into the WAL: the documents
+// of its one record and the append batches merged into it. The write
+// lock holder that commits it sets err (nil when installed) and closes
+// done.
+type submission struct {
+	docs  [][]byte
+	sh    *Shard
+	reqs  []*ingestReq
+	built time.Time // joined the ready list
+	err   error
+	done  chan struct{}
 }
 
 // Degraded reports the store's failed component, if any: "wal" when
@@ -359,41 +366,29 @@ func OpenDurable(dir string, bootstrap func() (*Store, error), cfg DurableConfig
 		return nil, fmt.Errorf("shard: wal replay: %w", err)
 	}
 
-	workers := cfg.IngestWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	d.ingestSem = make(chan struct{}, workers)
-	depth := cfg.Commit.QueueDepth
-	if depth <= 0 {
-		depth = wal.DefaultQueueDepth
-	}
-	d.ingestQ = make(chan *ingestReq, depth)
-	d.ingestStop = make(chan struct{})
+	d.ingestQ = make(chan *ingestReq, ingestQueueDepth)
 	d.ingestDone = make(chan struct{})
-	d.ingestCap = cfg.Commit.MaxGroupBytes
-	if d.ingestCap <= 0 {
-		d.ingestCap = wal.DefaultMaxGroupBytes
-	}
 	// Two in-flight submissions: one group building while the previous
 	// one commits (fsync). This is what makes coalescing engage — any
 	// batch arriving while both slots are busy queues up and joins the
 	// next group, so the number of shards installed per second tracks
 	// the commit rate, not the append rate.
 	d.submitSlots = make(chan struct{}, 2)
-	d.ingestDelay = cfg.Commit.MaxDelay
+	// One long-lived build goroutine per slot: starting a goroutine per
+	// group raised perfbench ingest-mixed's reader est_p99_us by 8-20%
+	// (DESIGN.md, "Group commit").
+	d.groups = make(chan []*ingestReq)
+	for range cap(d.submitSlots) {
+		d.ingestWorkers.Add(1)
+		go d.buildLoop()
+	}
 	d.groupSizes = metrics.NewHistogram(metrics.ValueBounds)
 	d.queueWait = metrics.NewHistogram(metrics.LatencyBounds)
 	d.stages = trace.NewRecorder("xqest_append_stage_seconds",
 		"Append pipeline stage durations.", trace.AppendStages...)
 	d.openedAt = time.Now()
-	// The committer starts only after recovery: replay installs shards
-	// directly and must not race group formation. The latency budget is
-	// spent at the ingest stage (see DurableConfig.Commit), so the
-	// committer itself always commits eagerly.
-	commitOpts := cfg.Commit
-	commitOpts.MaxDelay = 0
-	d.committer = wal.NewCommitter(log, commitOpts, d.commitGroup)
+	// The coalescer starts only after recovery: replay installs shards
+	// directly and must not race group commits.
 	go d.ingestLoop()
 	return d, nil
 }
@@ -475,18 +470,19 @@ func (d *DurableStore) DurableSeq() uint64 { return d.log.DurableSeq() }
 // AppendDocs durably lands one batch of raw XML documents. It is a
 // three-stage pipeline:
 //
-//  1. Coalesce: the batch queues behind the CPU stage; the ingest
+//  1. Coalesce: the batch queues behind the build stage; the ingest
 //     coalescer drains everything waiting into ONE parse + summary
 //     build, so a burst of N concurrent appends costs one build, one
 //     shard install, and one WAL record instead of N. A lone append
-//     coalesces with nothing and behaves exactly as before.
-//  2. CPU stage, outside every lock, bounded by IngestWorkers: parse
-//     the (possibly merged) documents and build the shard's summaries.
-//  3. Commit stage, via the group committer: the submission joins
-//     whatever group is forming; the commit callback takes the write
-//     lock once per GROUP, logs every submission with one segment
-//     write + one fsync (always policy), installs every shard, and
-//     wakes the waiters with their exact seq and ack version.
+//     coalesces with nothing.
+//  2. Build, outside every lock, at most two at once (the submission
+//     slots): parse the (possibly merged) documents and build the
+//     shard's summaries.
+//  3. Commit: the built shard joins the ready list and its build
+//     goroutine takes the store's write lock. Whoever holds the lock commits
+//     every ready shard with one segment write + one fsync (always
+//     policy), installs them all, and resolves each; a goroutine whose
+//     shard an earlier holder committed finds the list empty.
 //
 // Batches merged into one build share a shard, a WAL record, a seq and
 // an ack version — and therefore an all-or-nothing fate, the same
@@ -519,169 +515,127 @@ func (d *DurableStore) AppendDocs(docs [][]byte) (*Shard, uint64, error) {
 	if res.err != nil {
 		return nil, 0, res.err
 	}
-	if _, _, err := res.p.Wait(); err != nil {
-		if d.log.Err() != nil {
-			return nil, 0, &DegradedError{Component: "wal", Err: err}
-		}
-		return nil, 0, err
-	}
 	return res.sh, res.sh.walSeq, nil
 }
 
-// ingestLoop is the coalescer goroutine: it blocks for the first batch,
-// waits for a build slot, and only THEN drains everything else queued
-// into the group — group formation happens as late as possible, so
-// every batch that arrived while earlier builds held the pool joins
-// this group instead of becoming a premature singleton. The dispatched
-// build runs on its own goroutine, so the loop immediately waits for
-// the next batch and builds overlap the previous group's fsync.
+// ingestLoop is the coalescer goroutine: it takes the first queued
+// batch, waits for a submission slot, and only THEN drains everything
+// else queued into the group — group formation happens as late as
+// possible, so every batch that arrived while both slots were busy
+// joins this group instead of becoming a premature singleton. The
+// build runs on a build goroutine, so the loop immediately waits for
+// the next batch and builds overlap the previous group's fsync. Close closes the queue; the loop dispatches what is left, then
+// stops the build goroutines and returns once every build has
+// committed.
 func (d *DurableStore) ingestLoop() {
-	defer close(d.ingestDone)
-	for {
-		select {
-		case <-d.ingestStop:
-			for {
-				select {
-				case r := <-d.ingestQ:
-					d.dispatchIngest(r)
-				default:
-					d.ingestWorkers.Wait()
-					return
-				}
-			}
-		case r := <-d.ingestQ:
-			d.dispatchIngest(r)
-		}
+	for r := range d.ingestQ {
+		d.dispatchIngest(r)
 	}
+	close(d.groups)
+	d.ingestWorkers.Wait()
+	close(d.ingestDone)
 }
 
-// formIngestGroup greedily drains the ingest queue behind first, up to
-// the group byte budget. With no latency budget a group is whatever
-// queued while earlier builds and commits were in flight; with one
-// (DurableConfig.Commit.MaxDelay), the coalescer then waits out the
-// budget for stragglers — fewer, larger shards per second at the cost
-// of that much ack latency.
+// formIngestGroup greedily drains the ingest queue behind first until
+// the group's documents reach maxIngestBytes: a group is whatever
+// queued while earlier builds and commits were in flight.
 func (d *DurableStore) formIngestGroup(first *ingestReq) []*ingestReq {
 	group := append(make([]*ingestReq, 0, 8), first)
-	var bytes int64
-	for _, doc := range first.docs {
-		bytes += int64(len(doc))
-	}
-greedy:
-	for bytes < d.ingestCap {
+	bytes := docBytes(first.docs)
+	for bytes < maxIngestBytes {
 		select {
-		case r := <-d.ingestQ:
+		case r, ok := <-d.ingestQ:
+			if !ok {
+				return group
+			}
 			group = append(group, r)
-			for _, doc := range r.docs {
-				bytes += int64(len(doc))
-			}
+			bytes += docBytes(r.docs)
 		default:
-			break greedy
-		}
-	}
-	if d.ingestDelay > 0 {
-		t := time.NewTimer(d.ingestDelay)
-		defer t.Stop()
-	budget:
-		for bytes < d.ingestCap {
-			select {
-			case r := <-d.ingestQ:
-				group = append(group, r)
-				for _, doc := range r.docs {
-					bytes += int64(len(doc))
-				}
-			case <-t.C:
-				break budget
-			case <-d.ingestStop:
-				// Shutdown: build what we have; the drain handles the rest.
-				break budget
-			}
+			return group
 		}
 	}
 	return group
 }
 
-// dispatchIngest waits for a submission slot and a build slot, forms
-// the group at the last possible moment (everything that queued while
-// the slots were busy joins), and runs the merged build on the pool.
-// Blocking here, on the coalescer goroutine, is what creates the
-// coalescing pressure: while one group builds and another commits,
-// arrivals queue and join the next, larger group. The submission slot
-// is held until the group's commit resolves, so the install rate —
-// and with it the serving set's shard count — tracks the commit
-// cycle, not the raw append rate.
+// docBytes sums a batch's document sizes.
+func docBytes(docs [][]byte) int {
+	n := 0
+	for _, doc := range docs {
+		n += len(doc)
+	}
+	return n
+}
+
+// dispatchIngest waits for a submission slot, forms the group at the
+// last possible moment (everything that queued while the slots were
+// busy joins), and hands it to a build goroutine. Blocking here, on
+// the coalescer goroutine, is what creates the coalescing pressure: while one group builds and another commits, arrivals queue
+// and join the next, larger group. The slot is held until the group's
+// commit resolves, so the install rate — and with it the serving set's
+// shard count — tracks the commit cycle, not the raw append rate.
+//
+// Before draining, the coalescer yields once, so appenders that are
+// already runnable — typically the callers just acknowledged by the
+// commit that freed the slot — enqueue their next batch and join this
+// group. On an idle machine the yield returns at once; on a busy one it
+// is what keeps groups large (DESIGN.md, "Group commit").
 func (d *DurableStore) dispatchIngest(first *ingestReq) {
 	d.submitSlots <- struct{}{}
-	d.ingestSem <- struct{}{}
+	runtime.Gosched()
 	dispatched := time.Now()
 	d.stages.Observe(trace.StageQueueWait, dispatched.Sub(first.at))
 	group := d.formIngestGroup(first)
 	d.stages.Observe(trace.StageCoalesceWait, time.Since(dispatched))
-	d.ingestWorkers.Add(1)
-	go func() {
-		p := d.ingestGroup(group)
-		<-d.ingestSem
-		if p != nil {
-			p.Wait()
-		}
+	d.groups <- group
+}
+
+// buildLoop is one build goroutine: it builds, commits and answers each
+// group it is handed, then frees the group's submission slot.
+func (d *DurableStore) buildLoop() {
+	defer d.ingestWorkers.Done()
+	for group := range d.groups {
+		d.ingestGroup(group)
 		<-d.submitSlots
-		d.ingestWorkers.Done()
-	}()
+	}
 }
 
-// ingestGroup builds one shard from every batch in the group and
-// submits it for commit, returning the pending submission (the
-// dispatcher holds its slot until it resolves). If the merged parse
-// fails — one poisoned batch must not refuse its neighbors — each
-// batch falls back to its own build and submission, so exactly the
-// malformed batches fail; the fallback returns nil (its submissions
-// resolve on their own).
-func (d *DurableStore) ingestGroup(group []*ingestReq) *wal.Pending {
-	if len(group) == 1 {
-		return d.buildAndSubmit(group[0])
-	}
-	var docs [][]byte
-	members := make([]time.Time, len(group))
-	for i, r := range group {
-		docs = append(docs, r.docs...)
-		members[i] = r.at
-	}
-	sh, err := d.buildShard(docs)
-	if err != nil {
+// ingestGroup builds one shard from every batch in the group, commits
+// it and answers every batch. If the merged parse fails — one poisoned batch must not refuse its neighbors — each batch
+// falls back to its own build, so exactly the malformed batches fail;
+// the good ones commit together, one record each.
+func (d *DurableStore) ingestGroup(group []*ingestReq) {
+	var subs []*submission
+	if len(group) > 1 {
+		var docs [][]byte
 		for _, r := range group {
-			d.buildAndSubmit(r)
+			docs = append(docs, r.docs...)
 		}
-		return nil
+		if sh, err := d.buildShard(docs); err == nil {
+			subs = append(subs, &submission{docs: docs, sh: sh, reqs: group})
+			group = nil
+		}
 	}
-	p, err := d.committer.SubmitCoalesced(docs, sh, members)
 	for _, r := range group {
-		r.res <- ingestRes{sh: sh, p: p, err: err}
+		sh, err := d.buildShard(r.docs)
+		if err != nil {
+			r.res <- ingestRes{err: err}
+			continue
+		}
+		subs = append(subs, &submission{docs: r.docs, sh: sh, reqs: []*ingestReq{r}})
 	}
-	if err != nil {
-		return nil
+	if len(subs) > 0 {
+		d.commit(subs)
 	}
-	return p
+	for _, s := range subs {
+		for _, r := range s.reqs {
+			r.res <- ingestRes{sh: s.sh, err: s.err}
+		}
+	}
 }
 
-// buildAndSubmit is the uncoalesced path: one batch, its own shard and
-// WAL record.
-func (d *DurableStore) buildAndSubmit(r *ingestReq) *wal.Pending {
-	sh, err := d.buildShard(r.docs)
-	if err != nil {
-		r.res <- ingestRes{err: err}
-		return nil
-	}
-	p, err := d.committer.SubmitCoalesced(r.docs, sh, []time.Time{r.at})
-	r.res <- ingestRes{sh: sh, p: p, err: err}
-	if err != nil {
-		return nil
-	}
-	return p
-}
-
-// buildShard is the append pipeline's CPU stage: parse + summary
-// build, no locks held. Concurrency is bounded by the dispatch
-// semaphore, not here.
+// buildShard is the append pipeline's build stage: parse + summary
+// build, no locks held. Concurrency is bounded by the submission
+// slots, not here.
 func (d *DurableStore) buildShard(docs [][]byte) (*Shard, error) {
 	readers := make([]io.Reader, len(docs))
 	for i, doc := range docs {
@@ -705,35 +659,70 @@ func (d *DurableStore) buildShard(docs [][]byte) (*Shard, error) {
 	return sh, err
 }
 
-// commitGroup is the commit callback the committer runs once per
-// formed group, on its own goroutine. It holds the store's write lock
-// across the whole group so the versions encoded into the WAL records
-// are exactly the versions the shards install at — the recovery
-// invariant — and so the checkpoint's truncation-safety pin (set +
-// lastSeq observed together under writeMu) keeps holding: the group's
-// records and shards become visible to a checkpoint atomically.
-func (d *DurableStore) commitGroup(group []*wal.Pending) {
+// commit puts built submissions on the ready list and returns once
+// each is resolved. The caller then takes the store's write lock, and
+// whoever holds the lock commits every submission then ready as one
+// group: a build that finishes while the other slot's group holds the
+// lock for its fsync waits on the list, together with anything else
+// that finishes meanwhile, and the next holder commits them all with
+// one fsync. A caller whose submissions an earlier holder already
+// committed finds the list empty and just releases the lock.
+func (d *DurableStore) commit(subs []*submission) {
+	built := time.Now()
+	for _, s := range subs {
+		s.built = built
+		s.done = make(chan struct{})
+	}
+	d.readyMu.Lock()
+	d.ready = append(d.ready, subs...)
+	d.readyMu.Unlock()
+
+	d.store.writeMu.Lock()
+	d.readyMu.Lock()
+	group := d.ready
+	d.ready = nil
+	d.readyMu.Unlock()
+	if len(group) > 0 {
+		d.commitGroupLocked(group)
+	}
+	d.store.writeMu.Unlock()
+	for _, s := range subs {
+		<-s.done
+	}
+}
+
+// commitGroupLocked commits one group under the store's write lock, so
+// the versions encoded into the WAL records are exactly the versions
+// the shards install at — the recovery invariant — and so the
+// checkpoint's truncation-safety pin (set + lastSeq observed together
+// under writeMu) keeps holding: the group's records and shards become
+// visible to a checkpoint atomically. Every submission is resolved:
+// all installed, or all refused.
+func (d *DurableStore) commitGroupLocked(group []*submission) {
 	now := time.Now()
 	members := 0
-	for _, p := range group {
-		members += len(p.Members)
-		d.stages.Observe(trace.StageWALSubmit, now.Sub(p.EnqueuedAt))
-		for _, at := range p.Members {
+	for _, s := range group {
+		members += len(s.reqs)
+		d.stages.Observe(trace.StageWALSubmit, now.Sub(s.built))
+		for _, r := range s.reqs {
 			// Measured from the append batch's arrival at the ingest
 			// coalescer, so it covers the whole pre-commit wait a caller
-			// experiences (build queue + commit queue).
-			d.queueWait.Observe(now.Sub(at).Seconds())
+			// experiences (build queue + ready list).
+			d.queueWait.Observe(now.Sub(r.at).Seconds())
 		}
 	}
 	d.groupSizes.Observe(float64(members))
+	defer func() {
+		for _, s := range group {
+			close(s.done)
+		}
+	}()
 
 	st := d.store
-	st.writeMu.Lock()
-	defer st.writeMu.Unlock()
 	base := st.Current().version
 	recs := make([]wal.GroupRecord, len(group))
-	for i, p := range group {
-		recs[i] = wal.GroupRecord{Version: base + uint64(i) + 1, Docs: p.Docs}
+	for i, s := range group {
+		recs[i] = wal.GroupRecord{Version: base + uint64(i) + 1, Docs: s.docs}
 	}
 	walStart := time.Now()
 	first, err := d.log.AppendGroup(recs)
@@ -744,24 +733,22 @@ func (d *DurableStore) commitGroup(group []*wal.Pending) {
 		// batch may be acknowledged and none is installed. Under a power
 		// cut the un-fsynced frames are torn away on recovery — refused
 		// batches stay absent.
-		for _, p := range group {
-			p.Err = err
+		if d.log.Err() != nil {
+			err = &DegradedError{Component: "wal", Err: err}
+		}
+		for _, s := range group {
+			s.err = err
 		}
 		return
 	}
 	shs := make([]*Shard, len(group))
-	for i, p := range group {
-		sh := p.Payload.(*Shard)
-		sh.walSeq = first + uint64(i)
-		shs[i] = sh
+	for i, s := range group {
+		s.sh.walSeq = first + uint64(i)
+		shs[i] = s.sh
 	}
 	installStart := time.Now()
 	st.appendGroupLocked(shs)
 	d.stages.Observe(trace.StageInstall, time.Since(installStart))
-	for i, p := range group {
-		p.Seq = shs[i].walSeq
-		p.Version = shs[i].installedAt
-	}
 }
 
 // Checkpoint persists the serving set without the WAL: every live
@@ -940,8 +927,8 @@ func (d *DurableStore) AppendSummary(est *core.Estimator, docs, nodes int) (*Sha
 	return sh, nil
 }
 
-// Close drains and stops the ingest coalescer and the group committer
-// (resolving every batch already accepted), checkpoints the serving
+// Close drains and stops the ingest coalescer (committing and
+// resolving every batch already accepted), checkpoints the serving
 // set, and closes the WAL. The directory can be reopened with
 // OpenDurable; a process that dies without Close recovers the same
 // state from manifest + WAL instead.
@@ -952,10 +939,9 @@ func (d *DurableStore) Close() error {
 	d.ingestMu.Unlock()
 	if !wasClosed {
 		d.ingestEnq.Wait() // every accepted AppendDocs has enqueued
-		close(d.ingestStop)
+		close(d.ingestQ)
 	}
-	<-d.ingestDone // loop has drained the queue and its builds finished
-	d.committer.Close()
+	<-d.ingestDone // the loop has drained the queue; every group committed
 	_, err := d.Checkpoint()
 	if cerr := d.log.Close(); err == nil {
 		err = cerr
@@ -971,10 +957,9 @@ func (d *DurableStore) Stats() DurabilityStats {
 		bytes += s.Bytes
 	}
 	comp, reason, degraded := d.Degraded()
-	groups, batches, _, _ := d.committer.Stats()
 	gc := GroupCommitStats{
-		Groups:    groups,
-		Batches:   batches,
+		Groups:    d.groupSizes.Count(),
+		Batches:   uint64(d.groupSizes.Sum()),
 		GroupSize: d.groupSizes.Summary(),
 		Fsyncs:    d.log.Fsyncs(),
 		QueueWait: d.queueWait.Summary(),

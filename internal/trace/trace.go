@@ -40,11 +40,11 @@ const (
 	StageEncode                // JSON response encode
 
 	// Append path.
-	StageQueueWait    // arrival at the ingest coalescer -> dispatch slot acquired
-	StageCoalesceWait // dispatch -> group formed (greedy drain + commit-delay budget)
+	StageQueueWait    // arrival at the ingest coalescer -> submission slot acquired
+	StageCoalesceWait // slot acquired -> group formed (greedy drain of the queue)
 	StageParse        // XML parse of the (possibly merged) group
 	StageBuild        // predicate catalog + summary build
-	StageWALSubmit    // commit-queue wait: submission -> commit callback
+	StageWALSubmit    // built (on the ready list) -> write lock held to commit it
 	StageFsyncWait    // WAL group write + fsync
 	StageInstall      // shard-set install under the write lock
 

@@ -18,14 +18,3 @@ func (l *Log) Collect(e *metrics.Expo) {
 	}
 	e.Gauge("xqest_wal_sealed", "1 when the log sealed after an I/O failure (appends refused).", sealed)
 }
-
-// Collect exports the group-commit families: groups and member
-// batches committed (batches/groups is the lifetime mean group size)
-// plus the last and largest group sizes.
-func (c *Committer) Collect(e *metrics.Expo) {
-	groups, batches, maxGroup, lastGroup := c.Stats()
-	e.Counter("xqest_group_commit_groups_total", "Commit groups formed.", float64(groups))
-	e.Counter("xqest_group_commit_batches_total", "Append batches committed across all groups.", float64(batches))
-	e.Gauge("xqest_group_commit_last_group_size", "Batches in the most recent commit group.", float64(lastGroup))
-	e.Gauge("xqest_group_commit_max_group_size", "Largest commit group so far.", float64(maxGroup))
-}

@@ -155,3 +155,33 @@ func TestTruncateFailureIsRetryable(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendGroupWriteFailureSealsAndRollsBack: a failed group write
+// refuses the whole group, truncates the partial frames, and seals.
+func TestAppendGroupWriteFailureSealsAndRollsBack(t *testing.T) {
+	dir := t.TempDir()
+	ffs := fsio.NewFaultFS(fsio.OS, fsio.Faults{})
+	l, err := Open(dir, Options{Mode: ModeAlways, FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := l.Append(1, docs("<a/>")); err != nil {
+		t.Fatal(err)
+	}
+	ffs.SetFaults(fsio.Faults{FailOp: ffs.OpCount() + 1}) // next op: the group write
+	_, err = l.AppendGroup([]GroupRecord{
+		{Version: 2, Docs: docs("<b/>")},
+		{Version: 3, Docs: docs("<c/>")},
+	})
+	if err == nil {
+		t.Fatal("group whose write failed must be refused")
+	}
+	ffs.ClearFaults()
+	if _, err := l.Append(4, docs("<d/>")); err == nil || !strings.Contains(err.Error(), "sealed") {
+		t.Fatalf("append after group write failure: got %v, want sealed", err)
+	}
+	if l.LastSeq() != 1 || l.DurableSeq() != 1 {
+		t.Fatalf("failed group moved watermarks: last=%d durable=%d", l.LastSeq(), l.DurableSeq())
+	}
+}

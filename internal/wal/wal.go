@@ -284,27 +284,25 @@ func Open(dir string, opts Options) (*Log, error) {
 	if opts.Mode == ModeInterval {
 		l.flushStop = make(chan struct{})
 		l.flushDone = make(chan struct{})
-		go l.flushLoop(l.flushStop, l.flushDone)
+		go l.flushLoop()
 	}
 	return l, nil
 }
 
-// flushLoop is the ModeInterval background fsync. The channels are
-// passed in rather than re-read from the Log: StopFlushLoop nils the
-// fields before closing the stop channel, and a select on a nil
-// channel would block forever.
-func (l *Log) flushLoop(stop chan struct{}, done chan struct{}) {
-	defer close(done)
+// flushLoop is the ModeInterval background fsync, stopped by Close. A
+// failed flush seals the log under l.mu, and AppendGroup checks the
+// seal under l.mu: no group is written, so none is acknowledged, after
+// a flush failure, and the sticky error makes the next Append, Sync or
+// Close fail loudly instead of the flush being silently dropped.
+func (l *Log) flushLoop() {
+	defer close(l.flushDone)
 	t := time.NewTicker(l.opts.Interval)
 	defer t.Stop()
 	for {
 		select {
-		case <-stop:
+		case <-l.flushStop:
 			return
 		case <-t.C:
-			// A failed interval flush seals the log (see sealLocked): the
-			// error is recorded sticky, so the next Append, Sync or Close
-			// fails loudly instead of the flush being silently dropped.
 			_ = l.Sync()
 		}
 	}
@@ -411,25 +409,6 @@ func (l *Log) AppendGroup(recs []GroupRecord) (uint64, error) {
 // maxRetainedGroupBuf bounds the group-concatenation scratch kept
 // between AppendGroup calls.
 const maxRetainedGroupBuf = 4 << 20
-
-// StopFlushLoop stops the ModeInterval background flusher and hands
-// the flush cadence to an external driver (the group committer). Both
-// the loop and the committer flush through Sync/syncLocked — one flush
-// path — but only a single driver may own the cadence: with the
-// committer driving, a failed interval flush seals the log on the same
-// goroutine that commits groups, so no group can be acknowledged after
-// the flush failure was observed. Idempotent; a no-op for logs without
-// a flusher.
-func (l *Log) StopFlushLoop() {
-	l.mu.Lock()
-	stop, done := l.flushStop, l.flushDone
-	l.flushStop, l.flushDone = nil, nil
-	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
 
 // sealLocked records the log's first fatal I/O error; once set, every
 // subsequent Append, Sync and Close fails with it.

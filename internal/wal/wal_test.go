@@ -405,3 +405,46 @@ func TestParseMode(t *testing.T) {
 		t.Fatal("bad mode accepted")
 	}
 }
+
+// TestAppendGroupRoundTrip: one AppendGroup call lands n records with
+// contiguous sequences, one fsync, and exact replay.
+func TestAppendGroupRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Mode: ModeAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := l.Fsyncs()
+	recs := []GroupRecord{
+		{Version: 10, Docs: docs("<a/>")},
+		{Version: 11, Docs: docs("<b>x</b>", "<c/>")},
+		{Version: 12, Docs: docs("<d/>")},
+	}
+	first, err := l.AppendGroup(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != 1 || l.LastSeq() != 3 || l.DurableSeq() != 3 {
+		t.Fatalf("first=%d last=%d durable=%d, want 1/3/3", first, l.LastSeq(), l.DurableSeq())
+	}
+	if got := l.Fsyncs() - before; got != 1 {
+		t.Fatalf("group of 3 cost %d fsyncs, want 1", got)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed := collect(t, dir, 0)
+	if len(replayed) != 3 {
+		t.Fatalf("replayed %d records, want 3", len(replayed))
+	}
+	for i, rec := range replayed {
+		if rec.Seq != uint64(i+1) || rec.Version != uint64(i+10) {
+			t.Fatalf("record %d: seq %d version %d", i, rec.Seq, rec.Version)
+		}
+		for j, d := range rec.Docs {
+			if !bytes.Equal(d, recs[i].Docs[j]) {
+				t.Fatalf("record %d doc %d: %q", i, j, d)
+			}
+		}
+	}
+}
