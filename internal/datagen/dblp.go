@@ -190,13 +190,11 @@ func GenerateDBLP(cfg DBLPConfig) *xmltree.Tree {
 // DBLPCatalog registers the paper's Table 1 predicates (with the
 // paper's display names) plus the TRUE predicate on the given tree.
 func DBLPCatalog(tr *xmltree.Tree) *predicate.Catalog {
-	cat := predicate.NewCatalog(tr)
+	var preds []predicate.Predicate
 	for _, tag := range []string{"article", "author", "book", "cdrom", "cite", "title", "url", "year"} {
-		cat.Add(predicate.Tag{Value: tag})
+		preds = append(preds, predicate.Tag{Value: tag})
 	}
-	// The non-tag predicates share one tree scan (Catalog.AddBatch)
-	// instead of one O(n) pass each.
-	cat.AddBatch([]predicate.Predicate{
+	preds = append(preds,
 		predicate.Named{Alias: "conf", Inner: predicate.And{Parts: []predicate.Predicate{
 			predicate.Tag{Value: "cite"}, predicate.ContentPrefix{Value: "conf"},
 		}}},
@@ -210,6 +208,8 @@ func DBLPCatalog(tr *xmltree.Tree) *predicate.Catalog {
 			predicate.Tag{Value: "year"}, predicate.NumericRange{Lo: 1990, Hi: 1999},
 		}}},
 		predicate.True{},
-	})
+	)
+	cat := predicate.NewCatalog(tr)
+	cat.AddBatch(preds)
 	return cat
 }

@@ -82,10 +82,11 @@ func GenerateHier(cfg HierConfig) *xmltree.Tree {
 
 // HierCatalog registers the paper's Table 3 predicates plus TRUE.
 func HierCatalog(tr *xmltree.Tree) *predicate.Catalog {
-	cat := predicate.NewCatalog(tr)
+	var preds []predicate.Predicate
 	for _, tag := range []string{"manager", "department", "employee", "email", "name"} {
-		cat.Add(predicate.Tag{Value: tag})
+		preds = append(preds, predicate.Tag{Value: tag})
 	}
-	cat.Add(predicate.True{})
+	cat := predicate.NewCatalog(tr)
+	cat.AddBatch(append(preds, predicate.True{}))
 	return cat
 }

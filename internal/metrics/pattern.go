@@ -156,8 +156,8 @@ func (p *PatternStats) Snapshot(topK int) []PatternSnapshot {
 }
 
 // Collect exports the tracked patterns: per-pattern request counters,
-// latency sum/count (enough for rate and mean), mean estimate, and
-// the untracked-overflow counter.
+// latency sum/count (enough for rate and mean) and mean estimate while
+// any pattern is tracked, and the untracked-overflow counter.
 func (p *PatternStats) Collect(e *Expo) {
 	p.mu.RLock()
 	ents := make([]*patternEntry, 0, len(p.m))
@@ -167,21 +167,25 @@ func (p *PatternStats) Collect(e *Expo) {
 	p.mu.RUnlock()
 	sort.Slice(ents, func(i, j int) bool { return ents[i].pattern < ents[j].pattern })
 
-	e.Family("xqest_pattern_requests_total", "counter", "Estimates served per tracked pattern.")
-	for _, ent := range ents {
-		e.Sample("xqest_pattern_requests_total", float64(ent.count.Load()), "pattern", ent.pattern)
-	}
-	e.Family("xqest_pattern_latency_seconds_sum", "counter", "Cumulative estimate-stage seconds per tracked pattern.")
-	for _, ent := range ents {
-		e.Sample("xqest_pattern_latency_seconds_sum", ent.lat.Sum(), "pattern", ent.pattern)
-	}
-	e.Family("xqest_pattern_latency_seconds_count", "counter", "Estimates timed per tracked pattern.")
-	for _, ent := range ents {
-		e.Sample("xqest_pattern_latency_seconds_count", float64(ent.lat.Count()), "pattern", ent.pattern)
-	}
-	e.Family("xqest_pattern_estimate_mean", "gauge", "Mean estimated answer size per tracked pattern.")
-	for _, ent := range ents {
-		e.Sample("xqest_pattern_estimate_mean", ent.est.Summary().Mean, "pattern", ent.pattern)
+	// The per-pattern families are only declared once some pattern is
+	// tracked, so a fresh exposition carries no sample-less families.
+	if len(ents) > 0 {
+		e.Family("xqest_pattern_requests_total", "counter", "Estimates served per tracked pattern.")
+		for _, ent := range ents {
+			e.Sample("xqest_pattern_requests_total", float64(ent.count.Load()), "pattern", ent.pattern)
+		}
+		e.Family("xqest_pattern_latency_seconds_sum", "counter", "Cumulative estimate-stage seconds per tracked pattern.")
+		for _, ent := range ents {
+			e.Sample("xqest_pattern_latency_seconds_sum", ent.lat.Sum(), "pattern", ent.pattern)
+		}
+		e.Family("xqest_pattern_latency_seconds_count", "counter", "Estimates timed per tracked pattern.")
+		for _, ent := range ents {
+			e.Sample("xqest_pattern_latency_seconds_count", float64(ent.lat.Count()), "pattern", ent.pattern)
+		}
+		e.Family("xqest_pattern_estimate_mean", "gauge", "Mean estimated answer size per tracked pattern.")
+		for _, ent := range ents {
+			e.Sample("xqest_pattern_estimate_mean", ent.est.Summary().Mean, "pattern", ent.pattern)
+		}
 	}
 	// Per-pattern q-error digests: only declared when some pattern has
 	// shadow-verified observations, so an exposition without accuracy

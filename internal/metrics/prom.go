@@ -204,6 +204,11 @@ func (r *Registry) Collect(e *Expo) {
 
 	e.Gauge("xqest_uptime_seconds", "Seconds since the metrics registry was created.", r.Uptime().Seconds())
 
+	// The per-endpoint families are only declared once an endpoint
+	// exists, so a fresh exposition carries no sample-less families.
+	if len(eps) == 0 {
+		return
+	}
 	counter := func(name, help string, get func(*Endpoint) float64) {
 		e.Family(name, "counter", help)
 		for _, ep := range eps {

@@ -2,7 +2,10 @@ package predicate
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"xmlest/internal/xmltree"
 )
@@ -44,49 +47,179 @@ func NewCatalog(t *xmltree.Tree) *Catalog {
 // Registering the same name twice replaces the entry. It returns the
 // new entry.
 func (c *Catalog) Add(pred Predicate) *Entry {
-	var nodes []xmltree.NodeID
-	// Fast path: pure tag predicates read the postings list directly.
-	if tp, ok := pred.(Tag); ok {
-		nodes = c.tagNodes(tp)
-	} else {
-		for id := xmltree.NodeID(1); int(id) < len(c.Tree.Nodes); id++ {
-			if pred.Eval(c.Tree, id) {
-				nodes = append(nodes, id)
-			}
-		}
-	}
-	return c.register(pred, nodes)
+	return c.AddBatch([]Predicate{pred})[0]
 }
 
-// AddBatch materializes several predicates in one shared pass over the
-// tree and registers them in order: Tag predicates still read their
-// postings lists directly, and all remaining predicates are evaluated
-// node by node in a single O(n) scan instead of one scan each. The
-// entries are identical to calling Add per predicate in the same order.
+// parallelNodes is the tree size from which AddBatch spreads its
+// direct work over GOMAXPROCS goroutines. On DBLP trees (2 vCPUs) the
+// parallel catalog took as long as the serial one from 3k to 62k nodes
+// and half as long from 155k nodes up, so below the threshold (every
+// appended shard, and the compacted shards of a 30 s ingest-mixed run,
+// 43k nodes at most) it would only take CPU from concurrent readers.
+// It is a property of the work, not of a deployment, so it is not an
+// option.
+const parallelNodes = 1 << 16
+
+// AddBatch materializes several predicates and registers them in order;
+// the entries are identical to calling Add per predicate in the same
+// order. Some of this package's predicates are read off the tree's
+// indexes directly: TRUE is the id range 1..n-1, Tag copies its
+// postings list, and a predicate that must carry a tag (Tag,
+// TagContent, Named over one, or an And with one among its parts) is
+// evaluated only over that tag's postings. On trees of at least
+// parallelNodes nodes those predicates, with their no-overlap checks,
+// are spread over GOMAXPROCS goroutines. Every other predicate,
+// including any of another type (whose Eval may not be safe to call
+// concurrently), is evaluated in one shared serial O(n) scan.
 func (c *Catalog) AddBatch(preds []Predicate) []*Entry {
-	nodeLists := make([][]xmltree.NodeID, len(preds))
-	var scan []int // indices of predicates needing the shared scan
+	entries := make([]*Entry, len(preds))
+	var direct, scanned []int // indices of the two kinds of predicate
 	for k, pred := range preds {
-		if tp, ok := pred.(Tag); ok {
-			nodeLists[k] = c.tagNodes(tp)
+		if _, ok := pred.(True); ok || anchored(pred) {
+			direct = append(direct, k)
 		} else {
-			scan = append(scan, k)
+			scanned = append(scanned, k)
 		}
 	}
-	if len(scan) > 0 {
-		for id := xmltree.NodeID(1); int(id) < len(c.Tree.Nodes); id++ {
-			for _, k := range scan {
-				if preds[k].Eval(c.Tree, id) {
-					nodeLists[k] = append(nodeLists[k], id)
+	if len(scanned) > 0 {
+		ps := make([]Predicate, len(scanned))
+		for i, k := range scanned {
+			ps[i] = preds[k]
+		}
+		for i, nodes := range c.scan(ps) {
+			entries[scanned[i]] = c.entry(ps[i], nodes)
+		}
+	}
+	var next atomic.Int64 // the next index into direct to materialize
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(direct); i = int(next.Add(1)) - 1 {
+			k := direct[i]
+			entries[k] = c.entry(preds[k], c.materialize(preds[k]))
+		}
+	}
+	if len(c.Tree.Nodes) < parallelNodes {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for w := min(runtime.GOMAXPROCS(0), len(direct)); w > 0; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	for _, e := range entries {
+		c.store(e)
+	}
+	return entries
+}
+
+// anchored reports whether pred is built of this package's predicates
+// only and must carry a tag (see anchor).
+func anchored(pred Predicate) bool {
+	_, _, ok := anchor(pred)
+	return ok && native(pred)
+}
+
+// native reports whether pred and every predicate inside it are this
+// package's types, whose Eval is pure and safe to call concurrently.
+func native(pred Predicate) bool {
+	switch p := pred.(type) {
+	case Tag, TagContent, ContentEquals, ContentPrefix, ContentSuffix, ContentContains, NumericRange, True:
+		return true
+	case Named:
+		return native(p.Inner)
+	case Not:
+		return native(p.Inner)
+	case And:
+		return allNative(p.Parts)
+	case Or:
+		return allNative(p.Parts)
+	}
+	return false
+}
+
+func allNative(preds []Predicate) bool {
+	for _, p := range preds {
+		if !native(p) {
+			return false
+		}
+	}
+	return true
+}
+
+// anchor returns the tag that every node satisfying pred carries, when
+// pred says so by construction, and rest: what a node with that tag
+// must still satisfy to satisfy pred (nil when nothing).
+func anchor(pred Predicate) (tag string, rest Predicate, ok bool) {
+	switch p := pred.(type) {
+	case Tag:
+		return p.Value, nil, true
+	case TagContent:
+		return p.Tag, ContentEquals{Value: p.Value}, true
+	case Named:
+		return anchor(p.Inner)
+	case And:
+		for i, q := range p.Parts {
+			if tag, rest, ok := anchor(q); ok {
+				parts := append(append([]Predicate{}, p.Parts[:i]...), p.Parts[i+1:]...)
+				if rest != nil {
+					parts = append(parts, rest)
 				}
+				switch len(parts) {
+				case 0:
+					return tag, nil, true
+				case 1:
+					return tag, parts[0], true
+				}
+				return tag, And{Parts: parts}, true
 			}
 		}
 	}
-	entries := make([]*Entry, len(preds))
-	for k, pred := range preds {
-		entries[k] = c.register(pred, nodeLists[k])
+	return "", nil, false
+}
+
+// materialize returns the nodes satisfying TRUE or an anchored
+// predicate, in document order: the id range for TRUE, the postings
+// copy for Tag, and an evaluation over its tag's postings otherwise.
+func (c *Catalog) materialize(pred Predicate) []xmltree.NodeID {
+	switch p := pred.(type) {
+	case Tag:
+		return c.tagNodes(p)
+	case True:
+		if len(c.Tree.Nodes) <= 1 {
+			return nil
+		}
+		nodes := make([]xmltree.NodeID, len(c.Tree.Nodes)-1)
+		for i := range nodes {
+			nodes[i] = xmltree.NodeID(i + 1)
+		}
+		return nodes
 	}
-	return entries
+	tag, rest, _ := anchor(pred)
+	var nodes []xmltree.NodeID
+	for _, id := range c.Tree.NodesWithTag(tag) {
+		if rest == nil || rest.Eval(c.Tree, id) {
+			nodes = append(nodes, id)
+		}
+	}
+	return nodes
+}
+
+// scan evaluates every predicate on every node in one pass and returns
+// each one's satisfying nodes in document order.
+func (c *Catalog) scan(preds []Predicate) [][]xmltree.NodeID {
+	lists := make([][]xmltree.NodeID, len(preds))
+	for id := xmltree.NodeID(1); int(id) < len(c.Tree.Nodes); id++ {
+		for k, pred := range preds {
+			if pred.Eval(c.Tree, id) {
+				lists[k] = append(lists[k], id)
+			}
+		}
+	}
+	return lists
 }
 
 // tagNodes copies a tag predicate's postings list.
@@ -97,14 +230,19 @@ func (c *Catalog) tagNodes(tp Tag) []xmltree.NodeID {
 	return nodes
 }
 
-// register detects the no-overlap property and stores the entry.
-func (c *Catalog) register(pred Predicate, nodes []xmltree.NodeID) *Entry {
-	e := &Entry{Pred: pred, Nodes: nodes, NoOverlap: noOverlap(c.Tree, nodes)}
-	if _, exists := c.entries[pred.Name()]; !exists {
-		c.order = append(c.order, pred.Name())
+// entry detects the no-overlap property of pred's satisfying nodes.
+func (c *Catalog) entry(pred Predicate, nodes []xmltree.NodeID) *Entry {
+	return &Entry{Pred: pred, Nodes: nodes, NoOverlap: noOverlap(c.Tree, nodes)}
+}
+
+// store registers e under its predicate's name, replacing any entry of
+// that name but keeping its place in the registration order.
+func (c *Catalog) store(e *Entry) {
+	name := e.Pred.Name()
+	if _, exists := c.entries[name]; !exists {
+		c.order = append(c.order, name)
 	}
-	c.entries[pred.Name()] = e
-	return e
+	c.entries[name] = e
 }
 
 // AddAllTags registers a Tag predicate for every distinct element tag in
@@ -113,11 +251,18 @@ func (c *Catalog) register(pred Predicate, nodes []xmltree.NodeID) *Entry {
 // root tag is not a real tag and never appears. It returns the number of
 // predicates added.
 func (c *Catalog) AddAllTags() int {
-	tags := c.Tree.Tags()
-	for _, tag := range tags {
-		c.Add(Tag{Value: tag})
+	return len(c.AddBatch(tagPredicates(c.Tree)))
+}
+
+// tagPredicates returns a Tag predicate per distinct tag of t, in
+// Tags order.
+func tagPredicates(t *xmltree.Tree) []Predicate {
+	tags := t.Tags()
+	preds := make([]Predicate, len(tags))
+	for i, tag := range tags {
+		preds[i] = Tag{Value: tag}
 	}
-	return len(tags)
+	return preds
 }
 
 // Get returns the entry registered under the given name, or an error

@@ -51,18 +51,16 @@ func (s Spec) Add(preds ...Predicate) Spec {
 	return out
 }
 
-// Build materializes the spec over a tree: tag predicates (and TRUE)
-// first when AllTags is set, then the explicit predicates in one shared
-// scan (Catalog.AddBatch). The result is identical to issuing the same
-// registrations by hand on a fresh catalog.
+// Build materializes the spec over a tree in one Catalog.AddBatch: tag
+// predicates (and TRUE) first when AllTags is set, then the explicit
+// predicates. The result is identical to issuing the same registrations
+// by hand on a fresh catalog.
 func (s Spec) Build(t *xmltree.Tree) *Catalog {
 	c := NewCatalog(t)
+	var preds []Predicate
 	if s.AllTags {
-		c.AddAllTags()
-		c.Add(True{})
+		preds = append(tagPredicates(t), True{})
 	}
-	if len(s.Preds) > 0 {
-		c.AddBatch(s.Preds)
-	}
+	c.AddBatch(append(preds, s.Preds...))
 	return c
 }

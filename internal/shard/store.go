@@ -289,7 +289,7 @@ func (st *Store) AddAllTagPredicates() int {
 }
 
 // AddPredicates registers predicates on every tree-backed shard (one
-// shared scan per shard) and records them for future shards.
+// Catalog.AddBatch per shard) and records them for future shards.
 // Setup-time only, like AddAllTagPredicates.
 func (st *Store) AddPredicates(preds ...predicate.Predicate) {
 	st.specMu.Lock()

@@ -152,12 +152,18 @@ func (b *Builder) Open() NodeID {
 // Tree finalizes and returns the tree. Any elements still open are
 // closed. The builder must not be used afterwards.
 func (b *Builder) Tree() *Tree {
+	t := b.finish()
+	t.buildTagIndex()
+	return t
+}
+
+// finish is Tree without the tag index, for a caller that kept the
+// index itself while building.
+func (b *Builder) finish() *Tree {
 	for len(b.stack) > 1 {
 		b.End()
 	}
 	b.nodes[0].End = b.counter
 	b.counter++
-	t := &Tree{Nodes: b.nodes, MaxPos: b.counter}
-	t.buildTagIndex()
-	return t
+	return &Tree{Nodes: b.nodes, MaxPos: b.counter}
 }

@@ -48,7 +48,13 @@ func ParseCollection(readers []io.Reader, _ ParseOptions) (*Tree, error) {
 			return nil, fmt.Errorf("xmltree: document %d: %w", i, err)
 		}
 	}
-	t := b.Tree()
+	t := b.finish()
+	t.tagIndex = make(map[string][]NodeID, len(p.postings))
+	for tag, ids := range p.postings {
+		if len(*ids) > 0 {
+			t.tagIndex[tag] = *ids
+		}
+	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -93,12 +99,16 @@ func nodeBound(data []byte) int {
 }
 
 // xname is an interned XML name. Names are validated and split once per
-// distinct spelling; elements and attributes then share the strings.
+// distinct spelling; elements and attributes then share the strings and
+// the tag postings, which every spelling with the same local name
+// shares too.
 type xname struct {
 	raw   string // as written; end tags must repeat it exactly
 	space string // the prefix of "space:local", or ""
 	local string // the element tag
 	attr  string // "@" + local: the tag of an attribute node
+
+	elemIDs, attrIDs *[]NodeID // the postings of local and attr
 }
 
 // openElem is an element whose end tag has not been seen yet.
@@ -131,6 +141,16 @@ type parser struct {
 	open  []openElem
 	attrs []attr
 	buf   []byte // decoded character data, when it differs from the input
+
+	// postings is the tree's tag index, filled as nodes open (see
+	// begin) and handed to the tree instead of indexing the finished
+	// node array. Each interned name points at its tags' lists.
+	postings map[string]*[]NodeID
+
+	// chunk holds copies of the text runs and attribute values taken so
+	// far, so the tree neither pins the input nor costs one allocation
+	// per string (see keep).
+	chunk strings.Builder
 
 	// ns holds the prefix bindings in scope. It is only consulted for
 	// one rule: an attribute whose prefix is bound to the URI "xmlns"
@@ -260,8 +280,50 @@ func (p *parser) name(what string) (*xname, error) {
 		return nil, p.errorf("expected %s", what)
 	}
 	n.attr = "@" + n.local
+	n.elemIDs, n.attrIDs = p.postingsOf(n.local), p.postingsOf(n.attr)
 	p.names[n.raw] = n
 	return n, nil
+}
+
+// chunkSize is the capacity of a text chunk (see keep), unless the rest
+// of the document is shorter or the value longer.
+const chunkSize = 64 << 10
+
+// keep returns a copy of s, a value decoded from the document before
+// p.pos. Copies share chunks: a new one starts only when s does not fit
+// in the current one, and is sized to s plus the rest of the document,
+// up to chunkSize, so a small document pins no more than its own
+// length.
+func (p *parser) keep(s []byte) string {
+	if len(s) == 0 {
+		return ""
+	}
+	if len(s) > p.chunk.Cap()-p.chunk.Len() {
+		p.chunk.Reset()
+		p.chunk.Grow(max(min(chunkSize, len(p.data)-p.pos+len(s)), len(s)))
+	}
+	off := p.chunk.Len()
+	p.chunk.Write(s)
+	return p.chunk.String()[off:]
+}
+
+// postingsOf returns the postings list of tag, creating it empty.
+func (p *parser) postingsOf(tag string) *[]NodeID {
+	if p.postings == nil {
+		p.postings = make(map[string]*[]NodeID)
+	}
+	ids, ok := p.postings[tag]
+	if !ok {
+		ids = new([]NodeID)
+		p.postings[tag] = ids
+	}
+	return ids
+}
+
+// begin opens a node whose tag's postings are ids. Every node the
+// parser opens goes through it, so the postings stay complete.
+func (p *parser) begin(tag string, ids *[]NodeID) {
+	*ids = append(*ids, p.b.Begin(tag))
 }
 
 func (p *parser) startTag() error {
@@ -317,7 +379,7 @@ func (p *parser) startTag() error {
 			return p.eof()
 		}
 		p.pos++ // the closing quote
-		p.attrs = append(p.attrs, attr{an, string(value)})
+		p.attrs = append(p.attrs, attr{an, p.keep(value)})
 	}
 
 	// Declarations apply to the whole start tag, wherever they stand.
@@ -327,12 +389,12 @@ func (p *parser) startTag() error {
 			p.bind(a.name.local, a.value)
 		}
 	}
-	p.b.Begin(n.local)
+	p.begin(n.local, n.elemIDs)
 	for _, a := range p.attrs {
 		if p.dropAttr(a.name) {
 			continue
 		}
-		p.b.Begin(a.name.attr)
+		p.begin(a.name.attr, a.name.attrIDs)
 		p.b.Text(a.value)
 		p.b.End()
 	}
@@ -565,7 +627,7 @@ func (p *parser) charData(mode textMode, end int) error {
 		return err
 	}
 	if run = bytes.TrimSpace(run); len(run) > 0 {
-		p.b.Text(string(run))
+		p.b.Text(p.keep(run))
 	}
 	return nil
 }

@@ -85,3 +85,35 @@ func TestParseDoesNotPinInput(t *testing.T) {
 		t.Errorf("got %q, want %q", strings.Join(got, " "), want)
 	}
 }
+
+// TestParseSmallDocumentPinsItsLength checks the text-chunk rule: the
+// values of a small document, appended on its own, share one chunk no
+// larger than the document, so the tree does not keep a full-size
+// chunk alive for a few hundred bytes of text. The document is 512
+// bytes, one of the allocator's size classes, so rounding a request of
+// at most its length up to a size class stays within it.
+func TestParseSmallDocumentPinsItsLength(t *testing.T) {
+	var doc strings.Builder
+	doc.WriteString(`<batch source="tail">`)
+	for i := 0; doc.Len() < 400; i++ {
+		doc.WriteString(`<rec id="r` + strings.Repeat("x", i%5) + `"><title>a &amp; b</title> text </rec>`)
+	}
+	doc.WriteString(`</batch>`)
+	doc.WriteString(strings.Repeat(" ", 512-doc.Len()))
+	data := []byte(doc.String())
+	b := NewBuilder()
+	p := parser{b: b, names: make(map[string]*xname)}
+	if err := p.parse(data); err != nil {
+		t.Fatal(err)
+	}
+	text := 0
+	for _, n := range b.Tree().Nodes {
+		text += len(n.Text)
+	}
+	if p.chunk.Len() != text {
+		t.Errorf("the chunk holds %d bytes, the tree %d bytes of text: the values took more than one chunk", p.chunk.Len(), text)
+	}
+	if p.chunk.Cap() > len(data) {
+		t.Errorf("a %d-byte document kept a %d-byte chunk", len(data), p.chunk.Cap())
+	}
+}

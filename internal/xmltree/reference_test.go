@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -130,6 +131,11 @@ var parseSeeds = [][2]string{
 	// Several documents in one call.
 	{`<a><b/></a>`, `<c x="1"/>`}, {`<a>`, `</a>`}, {`<a xmlns:p="xmlns"/>`, `<b p:x="1"/>`},
 	{`<a/>`, ``}, {`<r>t</r>`, `<?xml version="1.1"?>`}, {`<a>1</a><a>2</a>`, `<a>3</a>`},
+	// Tag postings: spellings sharing a local name share one list, an
+	// element and an attribute of one name keep two, and a name seen
+	// only as an element has no attribute list.
+	{`<r xmlns:a="u" xmlns:b="v"><a:x/><b:x a:x="1"/><x/></r>`}, {`<x x="1"><x/></x>`},
+	{`<a:x/>`, `<b:x b:x="2"/>`}, {`<only><only/></only>`},
 }
 
 func FuzzParseMatchesReference(f *testing.F) {
@@ -151,6 +157,21 @@ func FuzzParseMatchesReference(f *testing.F) {
 		}
 		if got.MaxPos != want.MaxPos || !reflect.DeepEqual(got.Nodes, want.Nodes) {
 			t.Fatalf("%q: trees differ\nscanner:   %+v\nreference: %+v", docs, got.Nodes, want.Nodes)
+		}
+		// The parser keeps the tag postings as it goes; they must be
+		// the index built from the finished nodes.
+		rebuilt := &Tree{Nodes: got.Nodes, MaxPos: got.MaxPos}
+		rebuilt.buildTagIndex()
+		if !slices.Equal(got.Tags(), rebuilt.Tags()) {
+			t.Fatalf("%q: tags %q, rebuilt index has %q", docs, got.Tags(), rebuilt.Tags())
+		}
+		if len(got.tagIndex) != len(rebuilt.tagIndex) {
+			t.Fatalf("%q: %d indexed tags, rebuilt index has %d", docs, len(got.tagIndex), len(rebuilt.tagIndex))
+		}
+		for tag, ids := range rebuilt.tagIndex {
+			if !slices.Equal(got.NodesWithTag(tag), ids) {
+				t.Fatalf("%q: NodesWithTag(%q) = %v, rebuilt index has %v", docs, tag, got.NodesWithTag(tag), ids)
+			}
 		}
 	})
 }

@@ -130,8 +130,9 @@ func (t *Tree) Descendants(id NodeID) []NodeID {
 
 // Validate checks the structural invariants of the tree: pre-order
 // storage, strict interval nesting along parent links, disjoint sibling
-// intervals, and depth consistency. It returns the first violation found.
-// It is used by tests and by loaders of untrusted input.
+// intervals, links in range, and depth consistency. It returns the first
+// violation found, in one pass over the nodes. It is used by tests and
+// by loaders of untrusted input.
 func (t *Tree) Validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("xmltree: empty tree (missing dummy root)")
@@ -143,25 +144,37 @@ func (t *Tree) Validate() error {
 	if root.Depth != 0 {
 		return fmt.Errorf("xmltree: dummy root depth = %d, want 0", root.Depth)
 	}
+	inRange := func(id NodeID) bool { return id >= 0 && int(id) < len(t.Nodes) }
 	prevStart := -1
 	for id := range t.Nodes {
 		n := &t.Nodes[id]
 		if n.Start >= n.End {
 			return fmt.Errorf("xmltree: node %d: start %d >= end %d", id, n.Start, n.End)
 		}
-		if n.End >= t.MaxPos && !(id == 0 && n.End == t.MaxPos-1) {
-			if n.End >= t.MaxPos {
-				return fmt.Errorf("xmltree: node %d: end %d out of range [0,%d)", id, n.End, t.MaxPos)
-			}
+		if n.End >= t.MaxPos {
+			return fmt.Errorf("xmltree: node %d: end %d out of range [0,%d)", id, n.End, t.MaxPos)
 		}
 		if n.Start <= prevStart {
 			return fmt.Errorf("xmltree: node %d: start %d not increasing (prev %d)", id, n.Start, prevStart)
 		}
 		prevStart = n.Start
+		if n.FirstChild != InvalidNode && !inRange(n.FirstChild) {
+			return fmt.Errorf("xmltree: node %d: bad first child %d", id, n.FirstChild)
+		}
+		// Sibling intervals must be disjoint: each sibling starts after
+		// the one before it ends.
+		if s := n.NextSibling; s != InvalidNode {
+			if !inRange(s) {
+				return fmt.Errorf("xmltree: node %d: bad next sibling %d", id, s)
+			}
+			if t.Nodes[s].Start <= n.End {
+				return fmt.Errorf("xmltree: node %d and its next sibling %d have overlapping intervals", id, s)
+			}
+		}
 		if id == 0 {
 			continue
 		}
-		if n.Parent < 0 || int(n.Parent) >= len(t.Nodes) {
+		if !inRange(n.Parent) {
 			return fmt.Errorf("xmltree: node %d: bad parent %d", id, n.Parent)
 		}
 		p := &t.Nodes[n.Parent]
@@ -171,16 +184,6 @@ func (t *Tree) Validate() error {
 		}
 		if n.Depth != p.Depth+1 {
 			return fmt.Errorf("xmltree: node %d depth %d, parent depth %d", id, n.Depth, p.Depth)
-		}
-	}
-	// Sibling intervals must be disjoint.
-	for id := range t.Nodes {
-		var prevEnd = -1
-		for c := t.Nodes[id].FirstChild; c != InvalidNode; c = t.Nodes[c].NextSibling {
-			if t.Nodes[c].Start <= prevEnd {
-				return fmt.Errorf("xmltree: children of %d have overlapping intervals", id)
-			}
-			prevEnd = t.Nodes[c].End
 		}
 	}
 	return nil

@@ -303,3 +303,46 @@ func TestStats(t *testing.T) {
 		t.Errorf("DistinctTag = %d, want 9", s.DistinctTag)
 	}
 }
+
+// TestValidateRejectsCorruption corrupts one field of a valid tree per
+// case; Validate must return an error for each, and never panic.
+func TestValidateRejectsCorruption(t *testing.T) {
+	const doc = `<r><a><x/></a><b/><c/></r>`
+	// ids: 1 r, 2 a, 3 x, 4 b, 5 c
+	cases := []struct {
+		name    string
+		corrupt func(nodes []Node)
+	}{
+		// Every interval, parent and depth still holds; only the
+		// sibling link shows that b would overlap a.
+		{"overlapping siblings reachable only through NextSibling", func(n []Node) { n[4].NextSibling = 2 }},
+		{"next sibling inside the node", func(n []Node) { n[2].NextSibling = 3 }},
+		{"out-of-range NextSibling", func(n []Node) { n[4].NextSibling = 99 }},
+		{"negative NextSibling", func(n []Node) { n[2].NextSibling = -7 }},
+		{"out-of-range FirstChild", func(n []Node) { n[2].FirstChild = 99 }},
+		{"out-of-range Parent", func(n []Node) { n[3].Parent = 99 }},
+		{"child outside its parent", func(n []Node) { n[5].Parent = 2 }},
+		{"wrong depth", func(n []Node) { n[3].Depth = 5 }},
+		{"non-increasing start", func(n []Node) { n[4].Start = n[3].Start }},
+		{"start not before end", func(n []Node) { n[5].End = n[5].Start }},
+		{"end out of range", func(n []Node) { n[0].End = 1 << 20 }},
+		{"root with a parent", func(n []Node) { n[0].Parent = 1 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr, err := ParseString(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("Validate panicked: %v", p)
+				}
+			}()
+			c.corrupt(tr.Nodes)
+			if err := tr.Validate(); err == nil {
+				t.Errorf("Validate accepted the corrupted tree")
+			}
+		})
+	}
+}

@@ -47,6 +47,22 @@ func TestLiveRegistryLintsClean(t *testing.T) {
 	}
 }
 
+// TestFreshRegistryLintsClean renders what a daemon exposes before its
+// first estimate, a registry with no traffic and per-pattern stats with
+// no pattern, and requires it to lint clean: no family is declared
+// without samples.
+func TestFreshRegistryLintsClean(t *testing.T) {
+	r := metrics.NewRegistry()
+	r.Register(metrics.NewPatternStats(0))
+	var buf bytes.Buffer
+	if err := r.WriteExposition(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if problems := lint(&buf); len(problems) > 0 {
+		t.Fatalf("fresh exposition has problems:\n%s", strings.Join(problems, "\n"))
+	}
+}
+
 // TestLintReportsDefects seeds one defect per exposition and requires
 // a problem naming it.
 func TestLintReportsDefects(t *testing.T) {

@@ -453,8 +453,8 @@ func (db *Database) AddAllTagPredicates() int {
 // name with the {name} syntax, or implicitly for Tag predicates).
 func (db *Database) AddPredicate(p Predicate) { db.AddPredicates(p) }
 
-// AddPredicates registers several predicates in one shared tree scan
-// per shard (see predicate.Catalog.AddBatch).
+// AddPredicates registers several predicates in one
+// predicate.Catalog.AddBatch per shard.
 func (db *Database) AddPredicates(ps ...Predicate) {
 	db.store.AddPredicates(ps...)
 	db.invalidateMerged()
