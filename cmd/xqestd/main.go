@@ -12,8 +12,8 @@
 // before it is acknowledged, checkpoints persist shard summaries and
 // truncate the log, and a restart (even after kill -9) recovers every
 // acknowledged batch with bit-identical estimates. Concurrent appends
-// share one WAL write and fsync (group commit; /stats reports it under
-// durability.group_commit):
+// share one WAL write and fsync (group commit; /stats and /metrics
+// report it as the xqest_group_commit_group_size histogram):
 //
 //	xqestd -dataset dblp -data-dir /var/lib/xqest -fsync always -checkpoint 1m
 //	xqestd -data-dir /var/lib/xqest                # recover and keep serving
@@ -27,8 +27,9 @@
 //	xqestd -dataset dblp -data-dir /var/lib/xq-leader -addr :8080
 //	xqestd -dataset dblp -data-dir /var/lib/xq-f1 -follow http://leader:8080 -addr :8081
 //
-// Endpoints: POST /estimate /append /compact, GET /shards /stats
-// /healthz — see internal/server. SIGINT/SIGTERM shut down
+// Endpoints: POST /estimate /append /compact, GET /shards /healthz,
+// and GET /stats and /metrics, the same metric families as JSON and as
+// Prometheus text — see internal/server. SIGINT/SIGTERM shut down
 // gracefully: in-flight requests drain and, with -save, the summary is
 // persisted for the next boot; with -data-dir, shutdown is a final
 // checkpoint.
@@ -197,6 +198,7 @@ func main() {
 		if rec, ok := db.Recovery(); ok {
 			logger.Info("recovered data directory",
 				"dir", *dataDir,
+				"fsync", *fsync,
 				"checkpoint_shards", rec.CheckpointShards,
 				"checkpoint_version", rec.CheckpointVersion,
 				"replayed_records", rec.ReplayedRecords,

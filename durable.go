@@ -143,11 +143,12 @@ func (db *Database) Degraded() (component, reason string, degraded bool) {
 	return db.durable.Degraded()
 }
 
-// Collectors returns the database's Prometheus collectors — the store's
-// serving-set families plus, for durable databases, the
-// WAL, group-commit, checkpoint, and append-pipeline families. The
-// daemon registers them on its metrics registry; embedders can do the
-// same with their own exposition.
+// Collectors returns the database's metric collectors — the store's
+// compiled-binding counters plus, for durable databases, the WAL,
+// group-commit, checkpoint, recovery and append-pipeline families. The
+// daemon registers them on its metrics registry, beside its own
+// serving-set families; embedders can do the same with their own
+// registry.
 func (db *Database) Collectors() []metrics.Collector {
 	cs := []metrics.Collector{db.store}
 	if db.durable != nil {

@@ -207,50 +207,16 @@ func (m *Monitor) Close() {
 	})
 }
 
-// MonitorSnapshot is a point-in-time digest for /stats.
-type MonitorSnapshot struct {
-	SampleEvery int     `json:"sample_every"`
-	BudgetMS    float64 `json:"budget_ms"`
-
-	Sampled      uint64 `json:"sampled"`
-	Dropped      uint64 `json:"dropped"`
-	Verified     uint64 `json:"verified"`
-	Deadline     uint64 `json:"deadline"`
-	Unverifiable uint64 `json:"unverifiable"`
-	Failed       uint64 `json:"failed"`
-
-	// QError digests the verified estimates' q-errors.
-	QError metrics.Summary `json:"qerror"`
-	// MeanRelErr is the mean of |est-real| / max(real, 1) over
-	// verified estimates.
-	MeanRelErr float64 `json:"mean_rel_err"`
-}
-
-// Snapshot digests the monitor's counters and q-error distribution.
-func (m *Monitor) Snapshot() MonitorSnapshot {
-	s := MonitorSnapshot{
-		SampleEvery:  m.cfg.SampleEvery,
-		BudgetMS:     float64(m.cfg.Budget) / float64(time.Millisecond),
-		Sampled:      m.sampled.Load(),
-		Dropped:      m.dropped.Load(),
-		Verified:     m.verified.Load(),
-		Deadline:     m.deadlined.Load(),
-		Unverifiable: m.unverifiable.Load(),
-		Failed:       m.failed.Load(),
-		QError:       m.qerr.Summary(),
-	}
-	if s.Verified > 0 {
-		s.MeanRelErr = math.Float64frombits(m.relErrBits.Load()) / float64(s.Verified)
-	}
-	return s
-}
-
-// Collect exports the monitor's Prometheus families: the q-error
-// histogram plus the sampling-pipeline counters.
+// Collect exports the monitor's families: the q-error histogram, the
+// summed relative error, the sampling-pipeline counters and the
+// sampling configuration.
 func (m *Monitor) Collect(e *metrics.Expo) {
 	e.HistogramFamily("xqest_accuracy_qerror",
 		"Shadow-verified estimate q-error (max(est/real, real/est), add-one smoothed).")
 	e.HistogramSamples("xqest_accuracy_qerror", m.qerr)
+	e.Counter("xqest_accuracy_relative_error_total",
+		"Sum of |est-real|/max(real, 1) over verified estimates; divide by xqest_accuracy_verified_total for the mean.",
+		math.Float64frombits(m.relErrBits.Load()))
 	e.Counter("xqest_accuracy_sampled_total",
 		"Estimates sampled for shadow execution.", float64(m.sampled.Load()))
 	e.Counter("xqest_accuracy_dropped_total",
@@ -263,4 +229,6 @@ func (m *Monitor) Collect(e *metrics.Expo) {
 		"Sampled estimates unverifiable against summary-only shards.", float64(m.unverifiable.Load()))
 	e.Counter("xqest_accuracy_failed_total",
 		"Shadow executions that failed outright.", float64(m.failed.Load()))
+	e.Gauge("xqest_accuracy_sample_every", "Shadow-executes 1 in this many estimates.", float64(m.cfg.SampleEvery))
+	e.Gauge("xqest_accuracy_budget_seconds", "Wall-clock budget of one shadow execution.", m.cfg.Budget.Seconds())
 }

@@ -46,17 +46,24 @@ func TestMonitorSamplingStride(t *testing.T) {
 	}
 }
 
-// waitCounter polls until get() reaches want or the deadline passes.
-func waitCounter(t *testing.T, want uint64, get func() uint64) {
+// counter reads the monitor's xqest_accuracy_<name>_total off a gather.
+func counter(m *Monitor, name string) float64 {
+	v, _ := metrics.Gather(m).Value("xqest_accuracy_" + name + "_total")
+	return v
+}
+
+// waitCounter polls until the named counter reaches want or the
+// deadline passes.
+func waitCounter(t *testing.T, m *Monitor, name string, want float64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if get() >= want {
+		if counter(m, name) >= want {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("counter stuck at %d, want %d", get(), want)
+	t.Fatalf("%s stuck at %v, want %v", name, counter(m, name), want)
 }
 
 func TestMonitorClassifiesOutcomes(t *testing.T) {
@@ -70,30 +77,28 @@ func TestMonitorClassifiesOutcomes(t *testing.T) {
 	m.Submit("//a//b", 5, func(time.Time) (float64, error) { return 0, fmt.Errorf("snap: %w", ErrUnverifiable) })
 	m.Submit("//a//b", 5, func(time.Time) (float64, error) { return 0, errors.New("boom") })
 
-	waitCounter(t, 1, func() uint64 { return m.Snapshot().Verified })
-	waitCounter(t, 1, func() uint64 { return m.Snapshot().Deadline })
-	waitCounter(t, 1, func() uint64 { return m.Snapshot().Unverifiable })
-	waitCounter(t, 1, func() uint64 { return m.Snapshot().Failed })
-
-	s := m.Snapshot()
-	if s.Sampled != 4 {
-		t.Errorf("sampled = %d, want 4", s.Sampled)
+	for _, name := range []string{"verified", "deadline", "unverifiable", "failed"} {
+		waitCounter(t, m, name, 1)
 	}
-	if s.QError.Count != 1 {
-		t.Fatalf("qerror count = %d, want 1", s.QError.Count)
+
+	fams := metrics.Gather(m)
+	if n := counter(m, "sampled"); n != 4 {
+		t.Errorf("sampled = %v, want 4", n)
+	}
+	if n, _ := fams.Value("xqest_accuracy_qerror_count"); n != 1 {
+		t.Fatalf("qerror count = %v, want 1", n)
 	}
 	want := QError(12, 10)
-	if s.QError.Max != want {
-		t.Errorf("qerror max = %v, want %v", s.QError.Max, want)
+	if sum, _ := fams.Value("xqest_accuracy_qerror_sum"); sum != want {
+		t.Errorf("qerror sum of the one verified estimate = %v, want %v", sum, want)
 	}
 	// |12-10|/10 = 0.2
-	if s.MeanRelErr < 0.19 || s.MeanRelErr > 0.21 {
-		t.Errorf("mean rel err = %v, want ~0.2", s.MeanRelErr)
+	if mean := counter(m, "relative_error") / counter(m, "verified"); mean < 0.19 || mean > 0.21 {
+		t.Errorf("mean rel err = %v, want ~0.2", mean)
 	}
 	// The per-pattern digest saw the verified q-error.
-	snap := ps.Snapshot(1)
-	if len(snap) != 1 || snap[0].QError == nil || snap[0].QError.Count != 1 {
-		t.Errorf("pattern digest missing q-error: %+v", snap)
+	if n, ok := metrics.Gather(ps).Value("xqest_pattern_qerror_count", "pattern", "//a//b"); !ok || n != 1 {
+		t.Errorf("pattern digest q-error count = %v, %v, want 1", n, ok)
 	}
 }
 
@@ -126,8 +131,8 @@ func TestMonitorDropsOnOverflow(t *testing.T) {
 	m.Submit("//a", 1, func(time.Time) (float64, error) { return 0, nil })
 	// The queue (size 1) holds the second job; the third must drop.
 	m.Submit("//a", 1, func(time.Time) (float64, error) { return 0, nil })
-	if d := m.Snapshot().Dropped; d != 1 {
-		t.Errorf("dropped = %d, want 1", d)
+	if d := counter(m, "dropped"); d != 1 {
+		t.Errorf("dropped = %v, want 1", d)
 	}
 	close(block)
 }
@@ -137,8 +142,8 @@ func TestMonitorSubmitAfterCloseDrops(t *testing.T) {
 	m.Close()
 	m.Close() // idempotent
 	m.Submit("//a", 1, func(time.Time) (float64, error) { return 1, nil })
-	if d := m.Snapshot().Dropped; d != 1 {
-		t.Errorf("dropped after close = %d, want 1", d)
+	if d := counter(m, "dropped"); d != 1 {
+		t.Errorf("dropped after close = %v, want 1", d)
 	}
 }
 
@@ -146,10 +151,12 @@ func TestMonitorCollect(t *testing.T) {
 	m := NewMonitor(MonitorConfig{SampleEvery: 1})
 	defer m.Close()
 	m.Submit("//a", 3, func(time.Time) (float64, error) { return 3, nil })
-	waitCounter(t, 1, func() uint64 { return m.Snapshot().Verified })
+	waitCounter(t, m, "verified", 1)
 
 	var buf bytes.Buffer
-	m.Collect(metrics.NewExpo(&buf))
+	if err := metrics.Gather(m).WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	for _, want := range []string{
 		"# TYPE xqest_accuracy_qerror histogram",
@@ -161,6 +168,9 @@ func TestMonitorCollect(t *testing.T) {
 		"xqest_accuracy_deadline_total 0",
 		"xqest_accuracy_unverifiable_total 0",
 		"xqest_accuracy_failed_total 0",
+		"xqest_accuracy_relative_error_total 0",
+		"xqest_accuracy_sample_every 1",
+		"xqest_accuracy_budget_seconds 0.2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

@@ -1,14 +1,16 @@
 package cliutil
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"time"
 
-	"xmlest/internal/server"
+	"xmlest/internal/metrics"
 )
 
 // statsClient bounds how long a daemon introspection fetch may take —
@@ -45,74 +47,111 @@ func DumpMetrics(w io.Writer, baseURL string) error {
 }
 
 // ShowStats fetches a running daemon's /stats and pretty-prints the
-// serving surface: uptime, corpus shape, per-endpoint traffic, top
-// patterns, and (when durable) the WAL/checkpoint state.
-func ShowStats(w io.Writer, baseURL string) error {
+// serving surface from its families: uptime, corpus shape,
+// per-endpoint traffic, tracked patterns, shadow-verified accuracy,
+// and (when durable) the WAL/checkpoint state. Latency quantiles are
+// read from the histogram buckets, in µs. The report is written with
+// one Write, so a reader that stops early (grep -q) cannot cut it off
+// mid-report.
+func ShowStats(out io.Writer, baseURL string) error {
 	body, err := fetch(strings.TrimRight(baseURL, "/") + "/stats")
 	if err != nil {
 		return err
 	}
-	var st server.StatsResponse
-	if err := json.Unmarshal(body, &st); err != nil {
+	var fams metrics.Families
+	if err := json.Unmarshal(body, &fams); err != nil {
 		return fmt.Errorf("decode /stats: %w", err)
 	}
-
-	fmt.Fprintf(w, "daemon %s\n", st.Build)
-	fmt.Fprintf(w, "uptime: %s  version: %d  read-only: %v\n",
-		(time.Duration(st.UptimeSeconds * float64(time.Second))).Round(time.Second), st.Version, st.ReadOnly)
-	fmt.Fprintf(w, "corpus: %d doc(s), %d node(s), %d shard(s); summary %d bytes (grid %d)\n",
-		st.Corpus.Docs, st.Corpus.Nodes, st.Corpus.Shards, st.SummaryBytes, st.GridSize)
-	if st.AppendedDocs > 0 || st.AutoCompactions > 0 {
-		fmt.Fprintf(w, "ingest: %d doc(s) appended; %d auto-compact round(s), %d shard(s) merged\n",
-			st.AppendedDocs, st.AutoCompactions, st.AutoMerged)
+	w := new(bytes.Buffer)
+	v := func(sample string, labels ...string) float64 {
+		x, _ := fams.Value(sample, labels...)
+		return x
 	}
 
+	if bi := fams.Find("xqest_build_info"); bi != nil && len(bi.Samples) > 0 {
+		s := bi.Samples[0]
+		fmt.Fprintf(w, "daemon %s (%s) %s\n", s.Label("version"), s.Label("revision"), s.Label("go_version"))
+	}
+	uptime := v("xqest_uptime_seconds")
+	fmt.Fprintf(w, "uptime: %s  version: %.0f  read-only: %v\n",
+		(time.Duration(uptime * float64(time.Second))).Round(time.Second), v("xqest_set_version"), v("xqest_read_only") == 1)
+	fmt.Fprintf(w, "corpus: %.0f doc(s), %.0f node(s), %.0f shard(s); summary %.0f bytes (grid %.0f)\n",
+		v("xqest_corpus_docs"), v("xqest_corpus_nodes"), v("xqest_shards"), v("xqest_summary_bytes"), v("xqest_grid_size"))
+	if appended, rounds := v("xqest_appended_docs_total"), v("xqest_autocompact_rounds_total"); appended > 0 || rounds > 0 {
+		fmt.Fprintf(w, "ingest: %.0f doc(s) appended; %.0f auto-compact round(s), %.0f shard(s) merged\n",
+			appended, rounds, v("xqest_autocompact_merged_total"))
+	}
+
+	const lat = "xqest_http_request_duration_seconds"
 	fmt.Fprintf(w, "\n%-14s %10s %7s %8s %9s %9s %9s\n",
 		"endpoint", "requests", "errors", "qps", "p50", "p95", "p99")
-	for _, ep := range st.Endpoints {
-		if ep.Requests == 0 {
-			continue
+	if req := fams.Find("xqest_http_requests_total"); req != nil {
+		for _, s := range req.Samples {
+			if s.Value == 0 {
+				continue
+			}
+			ep := s.Label("endpoint")
+			fmt.Fprintf(w, "%-14s %10.0f %7.0f %8.1f %8.1fµ %8.1fµ %8.1fµ\n",
+				ep, s.Value, v("xqest_http_errors_total", "endpoint", ep), s.Value/uptime,
+				fams.Quantile(lat, 0.5, "endpoint", ep)*1e6, fams.Quantile(lat, 0.95, "endpoint", ep)*1e6,
+				fams.Quantile(lat, 0.99, "endpoint", ep)*1e6)
 		}
-		fmt.Fprintf(w, "%-14s %10d %7d %8.1f %8.1fµ %8.1fµ %8.1fµ\n",
-			ep.Name, ep.Requests, ep.Errors, ep.QPS,
-			ep.Latency.P50*1e6, ep.Latency.P95*1e6, ep.Latency.P99*1e6)
 	}
 
-	if len(st.Patterns) > 0 {
-		fmt.Fprintf(w, "\ntop patterns (%d untracked request(s) beyond these):\n", st.UntrackedPatterns)
-		for _, p := range st.Patterns {
-			fmt.Fprintf(w, "  %8d× %-40s est p50 %.0f  lat p50 %.1fµs",
-				p.Requests, p.Pattern, p.Estimate.P50, p.Latency.P50*1e6)
-			if p.QError != nil {
-				fmt.Fprintf(w, "  qerr p50 %.2f max %.2f (%d verified)",
-					p.QError.P50, p.QError.Max, p.QError.Count)
+	if req := fams.Find("xqest_pattern_requests_total"); req != nil {
+		fmt.Fprintf(w, "\ntop patterns (%.0f untracked request(s) beyond these):\n", v("xqest_pattern_untracked_requests_total"))
+		top := append([]metrics.Sample(nil), req.Samples...)
+		sort.SliceStable(top, func(i, j int) bool { return top[i].Value > top[j].Value })
+		for _, s := range top[:min(len(top), 10)] {
+			p := []string{"pattern", s.Label("pattern")}
+			fmt.Fprintf(w, "  %8.0f× %-40s est mean %.0f  lat mean %.1fµs",
+				s.Value, p[1], v("xqest_pattern_estimate_mean", p...),
+				v("xqest_pattern_latency_seconds_sum", p...)/v("xqest_pattern_latency_seconds_count", p...)*1e6)
+			if n, ok := fams.Value("xqest_pattern_qerror_count", p...); ok {
+				fmt.Fprintf(w, "  qerr mean %.2f (%.0f verified)", v("xqest_pattern_qerror_mean", p...), n)
 			}
 			fmt.Fprintln(w)
 		}
 	}
 
-	if a := st.Accuracy; a != nil {
-		fmt.Fprintf(w, "\naccuracy (shadow execution, 1 in %d, budget %.0fms):\n", a.SampleEvery, a.BudgetMS)
-		fmt.Fprintf(w, "  sampled %d  verified %d  dropped %d  deadline %d  unverifiable %d  failed %d\n",
-			a.Sampled, a.Verified, a.Dropped, a.Deadline, a.Unverifiable, a.Failed)
-		if a.QError.Count > 0 {
-			fmt.Fprintf(w, "  q-error q50 %.3f  q90 %.3f  qmax %.3f   mean rel. err. %.3f\n",
-				a.QError.P50, a.QError.P90, a.QError.Max, a.MeanRelErr)
+	if every, ok := fams.Value("xqest_accuracy_sample_every"); ok {
+		fmt.Fprintf(w, "\naccuracy (shadow execution, 1 in %.0f, budget %.0fms):\n", every, v("xqest_accuracy_budget_seconds")*1e3)
+		verified := v("xqest_accuracy_verified_total")
+		fmt.Fprintf(w, "  sampled %.0f  verified %.0f  dropped %.0f  deadline %.0f  unverifiable %.0f  failed %.0f\n",
+			v("xqest_accuracy_sampled_total"), verified, v("xqest_accuracy_dropped_total"),
+			v("xqest_accuracy_deadline_total"), v("xqest_accuracy_unverifiable_total"), v("xqest_accuracy_failed_total"))
+		if verified > 0 {
+			const q = "xqest_accuracy_qerror"
+			fmt.Fprintf(w, "  q-error q50 %.3f  q90 %.3f  q99 %.3f   mean rel. err. %.3f\n",
+				fams.Quantile(q, 0.5), fams.Quantile(q, 0.9), fams.Quantile(q, 0.99),
+				v("xqest_accuracy_relative_error_total")/verified)
 		}
 	}
 
-	if st.Durability != nil {
-		d := st.Durability
-		fmt.Fprintf(w, "\ndurability: %s (fsync %s)\n", d.Dir, d.Fsync)
-		fmt.Fprintf(w, "  wal: %d segment(s), %d bytes, last seq %d, durable seq %d\n",
-			d.WALSegments, d.WALBytes, d.LastSeq, d.DurableSeq)
-		fmt.Fprintf(w, "  checkpoints: %d taken, version %d, wal seq %d, %d failure(s)\n",
-			d.Checkpoints, d.CheckpointVersion, d.CheckpointWALSeq, d.CheckpointFailures)
-		fmt.Fprintf(w, "  group commit: %d group(s), %d batch(es)\n",
-			d.GroupCommit.Groups, d.GroupCommit.Batches)
-		if d.Degraded {
-			fmt.Fprintf(w, "  DEGRADED: %s (%s)\n", d.DegradedComponent, d.DegradedReason)
+	if _, ok := fams.Value("xqest_wal_last_seq"); ok {
+		fmt.Fprintf(w, "\ndurability:\n")
+		fmt.Fprintf(w, "  wal: %.0f segment(s), %.0f bytes, last seq %.0f, durable seq %.0f\n",
+			v("xqest_wal_segments"), v("xqest_wal_size_bytes"), v("xqest_wal_last_seq"), v("xqest_wal_durable_seq"))
+		fmt.Fprintf(w, "  checkpoints: %.0f taken, version %.0f, wal seq %.0f, %.0f failure(s)\n",
+			v("xqest_checkpoints_total"), v("xqest_checkpoint_version"), v("xqest_checkpoint_wal_seq"),
+			v("xqest_checkpoint_failures_total"))
+		fmt.Fprintf(w, "  group commit: %.0f group(s), %.0f batch(es)\n",
+			v("xqest_group_commit_group_size_count"), v("xqest_group_commit_group_size_sum"))
+		if deg := fams.Find("xqest_degraded"); deg != nil {
+			for _, s := range deg.Samples {
+				if s.Value == 1 {
+					fmt.Fprintf(w, "  DEGRADED: %s (reason on /healthz)\n", s.Label("component"))
+				}
+			}
 		}
 	}
-	return nil
+
+	if _, ok := fams.Value("xqest_replica_lag_seq"); ok {
+		fmt.Fprintf(w, "\nreplication (follower):\n")
+		fmt.Fprintf(w, "  leader seq %.0f, applied seq %.0f, lag %.0f seq / %.1fs, connected %v, stale %v\n",
+			v("xqest_replica_leader_seq"), v("xqest_replica_applied_seq"), v("xqest_replica_lag_seq"),
+			v("xqest_replica_lag_seconds"), v("xqest_replica_connected") == 1, v("xqest_replica_stale") == 1)
+	}
+	_, err = out.Write(w.Bytes())
+	return err
 }

@@ -38,8 +38,8 @@ type Estimator struct {
 	// storageBytes caches StorageBytes (stored as total+1; 0 = unset).
 	// The histograms are immutable after construction, so the encoding
 	// size is a constant of the estimator — recomputing it re-walks
-	// every sparse cell of every histogram, which made polling /stats
-	// a serving-path cost. Synthesize invalidates.
+	// every sparse cell of every histogram, which made polling the
+	// daemon's metrics a serving-path cost. Synthesize invalidates.
 	storageBytes atomic.Int64
 }
 
@@ -545,7 +545,7 @@ func (e *Estimator) buildSubPattern(q *pattern.Node) (SubPattern, bool, error) {
 // the paper's storage-requirement metric. The figure is computed once
 // and cached: the histograms never change after construction (only
 // Synthesize adds one, and it invalidates), and observability callers
-// (/stats) may poll at serving rates.
+// (the daemon's xqest_summary_bytes) may poll at serving rates.
 func (e *Estimator) StorageBytes() int {
 	if v := e.storageBytes.Load(); v > 0 {
 		return int(v - 1)

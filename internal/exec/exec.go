@@ -12,27 +12,14 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"xmlest/internal/match"
 	"xmlest/internal/pattern"
 	"xmlest/internal/planner"
 	"xmlest/internal/xmltree"
 )
-
-// ErrDeadline reports that an execution's time budget ran out before
-// the result stream was drained. It wraps context.DeadlineExceeded so
-// callers can classify with errors.Is against either sentinel.
-var ErrDeadline = fmt.Errorf("exec: time budget exhausted: %w", context.DeadlineExceeded)
-
-// deadlineCheckEvery is how many tuples the pull loop drains between
-// deadline checks: frequent enough that one check interval is far
-// below any sane budget, rare enough that time.Now stays off the
-// per-tuple cost.
-const deadlineCheckEvery = 1024
 
 // Tuple is one partial binding: Tuple[i] is the data node bound to the
 // i-th joined pattern node (in plan join order).
@@ -215,17 +202,6 @@ type Stats struct {
 // actual size of every intermediate result alongside the plan's
 // estimates. The result count is exactly the pattern's answer size.
 func Execute(t *xmltree.Tree, p *pattern.Pattern, plan *planner.Plan, resolve match.Resolver) (*Stats, error) {
-	return ExecuteDeadline(t, p, plan, resolve, time.Time{})
-}
-
-// ExecuteDeadline is Execute with a wall-clock budget: once deadline
-// passes (checked between tuple batches, so granularity is a fraction
-// of any sane budget), the execution aborts with ErrDeadline instead
-// of draining the rest of the result stream. The zero deadline
-// disables the check. This is the shadow-execution entry point: a
-// sampled live query's exact count must never hold a worker beyond
-// its budget, however pathological the pattern.
-func ExecuteDeadline(t *xmltree.Tree, p *pattern.Pattern, plan *planner.Plan, resolve match.Resolver, deadline time.Time) (*Stats, error) {
 	if len(plan.Steps) == 0 {
 		return nil, fmt.Errorf("exec: empty plan")
 	}
@@ -277,7 +253,6 @@ func ExecuteDeadline(t *xmltree.Tree, p *pattern.Pattern, plan *planner.Plan, re
 	}
 	defer root.Close()
 	var results int64
-	check := deadlineCheckEvery
 	for {
 		_, ok, err := root.Next()
 		if err != nil {
@@ -287,14 +262,6 @@ func ExecuteDeadline(t *xmltree.Tree, p *pattern.Pattern, plan *planner.Plan, re
 			break
 		}
 		results++
-		if !deadline.IsZero() {
-			if check--; check <= 0 {
-				if time.Now().After(deadline) {
-					return nil, ErrDeadline
-				}
-				check = deadlineCheckEvery
-			}
-		}
 	}
 	stats := &Stats{Results: results}
 	for i, op := range ops {

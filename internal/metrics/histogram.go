@@ -42,23 +42,19 @@ func doubling(first float64, n int) []float64 {
 
 // Histogram is a fixed-bucket histogram of non-negative float64
 // observations over one of the bound sets above. Each bucket is an
-// atomic counter and the running sum, min and max are CAS-updated
-// float bits, so Observe is lock-free and allocation-free. All methods
-// are safe for concurrent use.
+// atomic counter and the running sum is CAS-updated float bits, so
+// Observe is lock-free and allocation-free. All methods are safe for
+// concurrent use.
 type Histogram struct {
 	bounds  []float64
 	buckets []atomic.Uint64 // len(bounds)+1: the last is the +Inf bucket
 	sumBits atomic.Uint64   // float64 bits of the running sum
-	minBits atomic.Uint64   // float64 bits of the running min (+Inf while empty)
-	maxBits atomic.Uint64   // float64 bits of the running max
 }
 
 // NewHistogram returns an empty histogram over bounds (LatencyBounds,
 // ValueBounds or QErrorBounds). The slice is retained, not copied.
 func NewHistogram(bounds []float64) *Histogram {
-	h := &Histogram{bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
-	h.minBits.Store(math.Float64bits(math.Inf(1)))
-	return h
+	return &Histogram{bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
 }
 
 // Observe records one value in the histogram's unit (seconds for
@@ -74,19 +70,7 @@ func (h *Histogram) Observe(v float64) {
 	for {
 		cur := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(cur, math.Float64bits(math.Float64frombits(cur)+v)) {
-			break
-		}
-	}
-	for {
-		cur := h.minBits.Load()
-		if v >= math.Float64frombits(cur) || h.minBits.CompareAndSwap(cur, math.Float64bits(v)) {
-			break
-		}
-	}
-	for {
-		cur := h.maxBits.Load()
-		if v <= math.Float64frombits(cur) || h.maxBits.CompareAndSwap(cur, math.Float64bits(v)) {
-			break
+			return
 		}
 	}
 }
@@ -103,65 +87,11 @@ func (h *Histogram) Count() uint64 {
 // Sum returns the running sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Summary is a point-in-time digest of a Histogram, in the histogram's
-// unit. Quantiles interpolate linearly inside the bucket holding the
-// rank, as Prometheus' histogram_quantile does, and are clamped to the
-// exact min and max, so a wide bucket cannot report a value outside
-// what was observed.
-type Summary struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
-
-// Summary digests the histogram. Concurrent Observes may land between
-// the per-bucket reads; the digest is consistent with the counts it
-// read.
-func (h *Histogram) Summary() Summary {
-	counts := make([]uint64, len(h.buckets))
-	var total uint64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
+// Mean returns Sum over Count, 0 while empty.
+func (h *Histogram) Mean() float64 {
+	n := h.Count()
+	if n == 0 {
+		return 0
 	}
-	s := Summary{Count: total, Max: math.Float64frombits(h.maxBits.Load())}
-	if total == 0 {
-		return s
-	}
-	s.Mean = h.Sum() / float64(total)
-	lo := math.Float64frombits(h.minBits.Load())
-	for _, q := range []struct {
-		p   float64
-		dst *float64
-	}{{0.50, &s.P50}, {0.90, &s.P90}, {0.95, &s.P95}, {0.99, &s.P99}} {
-		*q.dst = min(max(h.quantile(counts, total, q.p, s.Max), lo), s.Max)
-	}
-	return s
-}
-
-// quantile walks the bucket counts to the one holding rank p*total and
-// interpolates linearly within its (lo, hi] extent. The first bucket's
-// lo is 0, and the +Inf bucket's hi is the tracked max.
-func (h *Histogram) quantile(counts []uint64, total uint64, p, top float64) float64 {
-	rank := p * float64(total)
-	var cum float64
-	for i, c := range counts {
-		if c == 0 || cum+float64(c) < rank {
-			cum += float64(c)
-			continue
-		}
-		lo, hi := 0.0, top
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		if i < len(h.bounds) {
-			hi = h.bounds[i]
-		}
-		return lo + (max(hi, lo)-lo)*(rank-cum)/float64(c)
-	}
-	return top
+	return h.Sum() / float64(n)
 }

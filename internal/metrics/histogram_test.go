@@ -22,17 +22,16 @@ var boundSets = []struct {
 	{"qerror", QErrorBounds},
 }
 
-// quantileOf is the raw interpolated p-quantile, before the Summary's
-// max cap.
-func quantileOf(h *Histogram, p float64) float64 {
-	counts := make([]uint64, len(h.buckets))
-	var total uint64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	return h.quantile(counts, total, p, h.Summary().Max)
+// gatherOne gathers h as the unlabeled histogram family "h".
+func gatherOne(h *Histogram) Families {
+	return Gather(CollectorFunc(func(e *Expo) {
+		e.HistogramFamily("h", "test")
+		e.HistogramSamples("h", h)
+	}))
 }
+
+// quantileOf is h's p-quantile read back from its gathered buckets.
+func quantileOf(h *Histogram, p float64) float64 { return gatherOne(h).Quantile("h", p) }
 
 // series is one histogram series parsed back from the exposition.
 type series struct {
@@ -44,9 +43,9 @@ type series struct {
 func exposeSeries(t *testing.T, h *Histogram) series {
 	t.Helper()
 	var buf bytes.Buffer
-	e := NewExpo(&buf)
-	e.HistogramFamily("h", "test")
-	e.HistogramSamples("h", h)
+	if err := gatherOne(h).WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
 	s := series{le: map[string]float64{}}
 	for _, line := range strings.Split(buf.String(), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -138,8 +137,8 @@ func TestHistogramBoundLabels(t *testing.T) {
 	}
 }
 
-// TestHistogram holds the per-behaviour cases: summaries, clamping,
-// interpolation, concurrency and exposition.
+// TestHistogram holds the per-behaviour cases: quantiles, clamping,
+// interpolation and exposition.
 func TestHistogram(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -161,32 +160,31 @@ func TestHistogram(t *testing.T) {
 			if p05 := quantileOf(h, 0.05); p05 < 8e-6 || p05 > 16e-6 {
 				t.Errorf("p05 = %v, want within the 8-16µs bucket", p05)
 			}
-			s := h.Summary()
-			for _, q := range []float64{s.P50, s.P95} {
-				if q < 512e-6 || q > 2e-3 {
-					t.Errorf("quantile %v, want within a 2x bucket of 1ms", q)
+			for _, p := range []float64{0.5, 0.95, 0.99} {
+				if q := quantileOf(h, p); q < 512e-6 || q > 2e-3 {
+					t.Errorf("q%v = %v, want within a 2x bucket of 1ms", p, q)
 				}
 			}
-			if s.Max != 1e-3 || s.P99 > s.Max {
-				t.Errorf("Max = %v, P99 = %v, want max 1ms and P99 <= max", s.Max, s.P99)
-			}
-			if s.Mean <= 100e-6 || s.Mean >= 1e-3 {
-				t.Errorf("Mean = %v, want between 100µs and 1ms", s.Mean)
+			if m := h.Mean(); m <= 100e-6 || m >= 1e-3 {
+				t.Errorf("Mean = %v, want between 100µs and 1ms", m)
 			}
 		}},
 		{"latency_empty_and_extremes", func(t *testing.T) {
 			h := NewHistogram(LatencyBounds)
-			if s := h.Summary(); s != (Summary{}) {
-				t.Errorf("empty summary = %+v, want zeros", s)
+			if h.Count() != 0 || h.Mean() != 0 || !math.IsNaN(quantileOf(h, 0.5)) {
+				t.Errorf("empty: count %d, mean %v, p50 %v, want 0, 0 and NaN", h.Count(), h.Mean(), quantileOf(h, 0.5))
 			}
 			// Out-of-range observations clamp to 0 or land in +Inf
 			// instead of panicking.
 			h.Observe(-1)
 			h.Observe(1e-9)
 			h.Observe(600)
-			s := h.Summary()
-			if s.Count != 3 || s.Max != 600 || s.P99 > 600 {
-				t.Errorf("summary = %+v, want count 3, max 600 and P99 <= max", s)
+			if h.Count() != 3 || h.Sum() != 600+1e-9 {
+				t.Errorf("count %d, sum %v, want 3 and 600+1e-9", h.Count(), h.Sum())
+			}
+			// A rank in the +Inf bucket reads the highest finite bound.
+			if p99 := quantileOf(h, 0.99); p99 != 67.108864 {
+				t.Errorf("p99 = %v, want the top bound 67.108864", p99)
 			}
 			if got := exposeSeries(t, h).le["67.108864"]; got != 2 {
 				t.Errorf("top bound holds %v, want 2 (600s is only in +Inf)", got)
@@ -194,51 +192,47 @@ func TestHistogram(t *testing.T) {
 		}},
 		{"value_basics", func(t *testing.T) {
 			h := NewHistogram(ValueBounds)
-			if s := h.Summary(); s != (Summary{}) {
-				t.Fatalf("empty summary: %+v", s)
+			if h.Count() != 0 {
+				t.Fatalf("empty count %d", h.Count())
 			}
 			for i := 0; i < 100; i++ {
 				h.Observe(8)
 			}
 			h.Observe(64)
-			s := h.Summary()
-			if s.Count != 101 || s.Max != 64 {
-				t.Fatalf("count=%d max=%v, want 101 and 64", s.Count, s.Max)
+			if h.Count() != 101 {
+				t.Fatalf("count=%d, want 101", h.Count())
 			}
-			if want := float64(100*8+64) / 101; s.Mean != want {
-				t.Fatalf("mean %.3f, want %.3f", s.Mean, want)
+			if want := float64(100*8+64) / 101; h.Mean() != want {
+				t.Fatalf("mean %.3f, want %.3f", h.Mean(), want)
 			}
 			// 8 sits on a bound, so p50 lands in the (4, 8] bucket.
-			if s.P50 <= 4 || s.P50 > 8 {
-				t.Fatalf("p50 %.3f outside (4, 8]", s.P50)
+			if p50 := quantileOf(h, 0.5); p50 <= 4 || p50 > 8 {
+				t.Fatalf("p50 %.3f outside (4, 8]", p50)
 			}
-			if s.P99 > s.Max {
-				t.Fatalf("p99 %.3f exceeds max %v", s.P99, s.Max)
+			if p999 := quantileOf(h, 0.999); p999 <= 32 || p999 > 64 {
+				t.Fatalf("p99.9 %.3f outside (32, 64]", p999)
 			}
 		}},
 		{"value_clamps", func(t *testing.T) {
 			h := NewHistogram(ValueBounds)
 			h.Observe(-5) // clamps to zero, still counted
 			h.Observe(1 << 30)
-			s := h.Summary()
-			if s.Count != 2 || s.Max != 1<<30 || h.Sum() != 1<<30 {
-				t.Fatalf("summary %+v sum %v, want count 2 and max and sum 1<<30", s, h.Sum())
+			if h.Count() != 2 || h.Sum() != 1<<30 {
+				t.Fatalf("count %d sum %v, want 2 and 1<<30", h.Count(), h.Sum())
 			}
 		}},
 		{"value_edges", func(t *testing.T) {
 			h := NewHistogram(ValueBounds)
 			h.Observe(1)
-			s := h.Summary()
-			// The quantiles interpolate inside (0, 1] and are clamped to
-			// the observed min, so every one reads 1.
-			if s.Count != 1 || s.Max != 1 || s.P50 != 1 || s.P99 != 1 {
-				t.Errorf("single-sample summary = %+v, want count, max and quantiles 1", s)
+			// The quantiles interpolate inside the first bucket, (0, 1],
+			// as histogram_quantile does.
+			if p50, p99 := quantileOf(h, 0.5), quantileOf(h, 0.99); p50 != 0.5 || p99 != 0.99 {
+				t.Errorf("single-sample p50, p99 = %v, %v, want 0.5 and 0.99", p50, p99)
 			}
-			// Beyond the top bound: +Inf, and the max is the genuine
-			// observation.
+			// Beyond the top bound: +Inf, read as the top finite bound.
 			h.Observe(1 << 30)
-			if s := h.Summary(); s.Max != 1<<30 {
-				t.Errorf("Max = %v, want 1<<30", s.Max)
+			if p99 := quantileOf(h, 0.99); p99 != 1<<20 {
+				t.Errorf("p99 = %v, want the top bound 1<<20", p99)
 			}
 		}},
 		{"qerror_basics", func(t *testing.T) {
@@ -254,9 +248,9 @@ func TestHistogram(t *testing.T) {
 			if sum := h.Sum(); sum != 102.5 {
 				t.Errorf("sum = %v, want 102.5", sum)
 			}
-			s := h.Summary()
-			if s.Max != 100 || s.P50 < 0 || s.P50 > s.P90 || s.P90 > s.P95 || s.P95 > s.P99 || s.P99 > s.Max {
-				t.Errorf("summary = %+v, want max 100 and ordered quantiles", s)
+			p50, p90, p95, p99 := quantileOf(h, 0.5), quantileOf(h, 0.9), quantileOf(h, 0.95), quantileOf(h, 0.99)
+			if p50 < 0 || p50 > p90 || p90 > p95 || p95 > p99 || p99 > 100 {
+				t.Errorf("quantiles %v %v %v %v, want ordered and at most 100", p50, p90, p95, p99)
 			}
 		}},
 		{"qerror_interpolation", func(t *testing.T) {
@@ -264,14 +258,25 @@ func TestHistogram(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				h.Observe(1.5)
 			}
-			if s := h.Summary(); s.P50 < 1 || s.P50 > 2 || s.P99 > s.Max {
-				t.Errorf("summary = %+v, want p50 within (1, 2] and p99 <= max", s)
+			if p50, p99 := quantileOf(h, 0.5), quantileOf(h, 0.99); p50 < 1 || p50 > 2 || p99 > 2 {
+				t.Errorf("p50, p99 = %v, %v, want both within (1, 2]", p50, p99)
 			}
-			// Values beyond the last bound land in +Inf, capped by max.
+			// Values beyond the last bound land in +Inf, read as the
+			// last bound.
 			h2 := NewHistogram([]float64{1})
 			h2.Observe(50)
-			if s := h2.Summary(); s.P99 > 50 {
-				t.Errorf("+Inf bucket quantile %v exceeds observed max 50", s.P99)
+			if p99 := quantileOf(h2, 0.99); p99 != 1 {
+				t.Errorf("+Inf bucket quantile %v, want the last bound 1", p99)
+			}
+			// The rank is placed from the cumulative count below its
+			// bucket: two observations in (0, 1] and two in (1, 2] put
+			// q0.75 halfway through (1, 2].
+			h3 := NewHistogram([]float64{1, 2, 4})
+			for _, v := range []float64{1, 1, 1.5, 1.5} {
+				h3.Observe(v)
+			}
+			if q := quantileOf(h3, 0.75); q != 1.5 {
+				t.Errorf("q0.75 = %v, want 1.5", q)
 			}
 		}},
 		{"exposition", func(t *testing.T) {
@@ -324,10 +329,8 @@ func checkConcurrentObserve(t *testing.T, bounds []float64) {
 		}(w)
 	}
 	wg.Wait()
-	s := h.Summary()
-	if s.Count != workers*each || s.Max != workers || h.Sum() != each*workers*(workers+1)/2 {
-		t.Errorf("summary %+v sum %v, want count %d, max %d, sum %d",
-			s, h.Sum(), workers*each, workers, each*workers*(workers+1)/2)
+	if h.Count() != workers*each || h.Sum() != each*workers*(workers+1)/2 {
+		t.Errorf("count %d sum %v, want %d and %d", h.Count(), h.Sum(), workers*each, each*workers*(workers+1)/2)
 	}
 }
 
@@ -340,9 +343,8 @@ func midBucket(b []float64, k int) float64 { return (b[k] + b[k+1]) / 2 }
 
 // Percentile edge cases the serving dashboards rely on, on each bound
 // set: a single sample dominates every quantile, a one-bucket
-// distribution interpolates within that bucket, and the tracked max
-// caps interpolation so a wide bucket cannot inflate p99 past anything
-// actually observed.
+// distribution interpolates within that bucket, and a rank in the +Inf
+// bucket reads the highest finite bound.
 
 func TestQuantileSingleSample(t *testing.T) {
 	for _, bs := range boundSets {
@@ -355,9 +357,8 @@ func TestQuantileSingleSample(t *testing.T) {
 				t.Errorf("%s: raw q%v = %v, want within (%v, %v]", bs.name, q, got, bs.bounds[k], bs.bounds[k+1])
 			}
 		}
-		s := h.Summary()
-		if s.Count != 1 || s.Max != v || s.Mean != v || s.P50 > v || s.P95 > v || s.P99 > v {
-			t.Errorf("%s: summary = %+v, want count 1, max/mean %v and quantiles <= max", bs.name, s, v)
+		if h.Count() != 1 || h.Mean() != v {
+			t.Errorf("%s: count %d, mean %v, want 1 and %v", bs.name, h.Count(), h.Mean(), v)
 		}
 	}
 }
@@ -371,32 +372,29 @@ func TestQuantileAllInOneBucket(t *testing.T) {
 			h.Observe(v)
 		}
 		p50, p99 := quantileOf(h, 0.5), quantileOf(h, 0.99)
-		if p50 < bs.bounds[k] || p50 > bs.bounds[k+1] || p99 < p50 {
+		if p50 < bs.bounds[k] || p50 > bs.bounds[k+1] || p99 < p50 || p99 > bs.bounds[k+1] {
 			t.Errorf("%s: raw p50 %v, p99 %v, want inside (%v, %v] and p99 >= p50", bs.name, p50, p99, bs.bounds[k], bs.bounds[k+1])
-		}
-		if s := h.Summary(); s.P99 > v {
-			t.Errorf("%s: summary P99 = %v exceeds the tracked max %v", bs.name, s.P99, v)
 		}
 	}
 }
 
-func TestQuantileMaxCapClamping(t *testing.T) {
+func TestQuantileInfBucketReadsTopBound(t *testing.T) {
 	for _, bs := range boundSets {
-		// 999 low, 1 high: p99.99 interpolates inside the high sample's
-		// bucket, whose upper bound is above the observed max — the
-		// tracked max must clamp it.
-		low, high := midBucket(bs.bounds, 1), midBucket(bs.bounds, len(bs.bounds)-2)
+		// 999 low, 1 far beyond the last bound: the low quantiles stay
+		// in the low sample's bucket, and a rank in the +Inf bucket
+		// reads the highest finite bound, not the observation.
+		top := bs.bounds[len(bs.bounds)-1]
+		low := midBucket(bs.bounds, 1)
 		h := NewHistogram(bs.bounds)
 		for i := 0; i < 999; i++ {
 			h.Observe(low)
 		}
-		h.Observe(high)
-		s := h.Summary()
-		if s.Max != high || s.P99 > s.Max {
-			t.Errorf("%s: Max = %v, P99 = %v, want max %v and P99 clamped to it", bs.name, s.Max, s.P99, high)
+		h.Observe(top * 1e3)
+		if p99 := quantileOf(h, 0.99); p99 < bs.bounds[1] || p99 > bs.bounds[2] {
+			t.Errorf("%s: p99 = %v, want within (%v, %v]", bs.name, p99, bs.bounds[1], bs.bounds[2])
 		}
-		if raw := quantileOf(h, 0.9999); raw <= s.Max {
-			t.Errorf("%s: raw q0.9999 = %v, want above the max %v (the clamp must matter)", bs.name, raw, s.Max)
+		if q := quantileOf(h, 0.9999); q != top {
+			t.Errorf("%s: q0.9999 = %v, want the top bound %v", bs.name, q, top)
 		}
 	}
 }

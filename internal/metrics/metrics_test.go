@@ -6,6 +6,16 @@ import (
 	"time"
 )
 
+// value reads one sample off the registry's gather.
+func value(t *testing.T, r *Registry, sample string, labels ...string) float64 {
+	t.Helper()
+	v, ok := r.Gather().Value(sample, labels...)
+	if !ok {
+		t.Fatalf("no sample %s%v in the gather", sample, labels)
+	}
+	return v
+}
+
 func TestEndpointCountersAndErrors(t *testing.T) {
 	r := NewRegistry()
 	e := r.Endpoint("estimate")
@@ -14,24 +24,32 @@ func TestEndpointCountersAndErrors(t *testing.T) {
 	}
 	for _, o := range []Outcome{OK, Error, Rejected} {
 		e.Begin()
-		e.End(time.Millisecond, time.Now(), o)
+		e.End(time.Millisecond, o)
 	}
 	e.Begin()
-	snaps := r.Snapshot()
-	if len(snaps) != 1 {
-		t.Fatalf("Snapshot has %d endpoints, want 1", len(snaps))
+	if f := r.Gather().Find("xqest_http_requests_total"); f == nil || len(f.Samples) != 1 {
+		t.Fatalf("requests family = %+v, want one endpoint", f)
 	}
-	s := snaps[0]
-	if s.Name != "estimate" || s.Requests != 3 || s.Errors != 1 || s.Rejected != 1 || s.Inflight != 1 {
-		t.Errorf("snapshot = %+v, want name=estimate requests=3 errors=1 rejected=1 inflight=1", s)
+	ep := []string{"endpoint", "estimate"}
+	for _, c := range []struct {
+		sample string
+		want   float64
+	}{
+		{"xqest_http_requests_total", 3},
+		{"xqest_http_errors_total", 1},
+		{"xqest_http_rejected_total", 1},
+		{"xqest_http_inflight_requests", 1},
+	} {
+		if got := value(t, r, c.sample, ep...); got != c.want {
+			t.Errorf("%s = %v, want %v", c.sample, got, c.want)
+		}
 	}
-	e.End(time.Millisecond, time.Now(), OK)
-	s = r.Snapshot()[0]
-	if s.Requests != 4 || s.Inflight != 0 {
-		t.Errorf("after done: requests=%d inflight=%d, want 4 and 0", s.Requests, s.Inflight)
+	e.End(time.Millisecond, OK)
+	if req, inf := value(t, r, "xqest_http_requests_total", ep...), value(t, r, "xqest_http_inflight_requests", ep...); req != 4 || inf != 0 {
+		t.Errorf("after done: requests=%v inflight=%v, want 4 and 0", req, inf)
 	}
-	if s.QPS <= 0 {
-		t.Errorf("lifetime QPS = %v, want > 0", s.QPS)
+	if up := value(t, r, "xqest_uptime_seconds"); up <= 0 {
+		t.Errorf("uptime = %v, want > 0 (lifetime QPS is requests over it)", up)
 	}
 }
 
@@ -46,53 +64,23 @@ func TestConcurrentObserve(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				e.Begin()
-				e.End(time.Microsecond, time.Now(), OutcomeOf(i%10 == 0))
+				e.End(time.Microsecond, OutcomeOf(i%10 == 0))
 			}
 		}(w)
 	}
 	wg.Wait()
-	s := r.Snapshot()[0]
-	if s.Requests != workers*per {
-		t.Errorf("Requests = %d, want %d", s.Requests, workers*per)
+	ep := []string{"endpoint", "stress"}
+	if got := value(t, r, "xqest_http_requests_total", ep...); got != workers*per {
+		t.Errorf("requests = %v, want %d", got, workers*per)
 	}
-	if s.Errors != workers*per/10 {
-		t.Errorf("Errors = %d, want %d", s.Errors, workers*per/10)
+	if got := value(t, r, "xqest_http_errors_total", ep...); got != workers*per/10 {
+		t.Errorf("errors = %v, want %d", got, workers*per/10)
 	}
-	if s.Inflight != 0 {
-		t.Errorf("Inflight = %d, want 0", s.Inflight)
+	if got := value(t, r, "xqest_http_inflight_requests", ep...); got != 0 {
+		t.Errorf("inflight = %v, want 0", got)
 	}
-	if s.Latency.Count != workers*per {
-		t.Errorf("Latency.Count = %d, want %d", s.Latency.Count, workers*per)
-	}
-}
-
-func TestRecentQPSCountsOnlyTaggedSeconds(t *testing.T) {
-	e := newEndpoint("x")
-	e.created = time.Now().Add(-time.Minute) // older than the window
-	now := time.Now().Unix()
-	// Simulate 30 requests one second ago and stale entries beyond the
-	// window; RecentQPS averages over the fixed window.
-	for i := 0; i < 30; i++ {
-		e.tick(now - 1)
-	}
-	for i := 0; i < 99; i++ {
-		e.tick(now - recentWindow - 2)
-	}
-	got := e.RecentQPS()
-	want := 30.0 / recentWindow
-	if got != want {
-		t.Errorf("RecentQPS = %v, want %v", got, want)
-	}
-
-	// A young endpoint averages over its own lifetime, not the full
-	// window, so short runs are not under-reported.
-	young := newEndpoint("y")
-	young.created = time.Now().Add(-2 * time.Second)
-	for i := 0; i < 40; i++ {
-		young.tick(now - 1)
-	}
-	if got := young.RecentQPS(); got != 20 {
-		t.Errorf("young RecentQPS = %v, want 20 (40 requests over a 2s life)", got)
+	if got := value(t, r, "xqest_http_request_duration_seconds_count", ep...); got != workers*per {
+		t.Errorf("latency count = %v, want %d", got, workers*per)
 	}
 }
 
@@ -107,44 +95,7 @@ func TestPanicCounter(t *testing.T) {
 	if e.Panics() != 2 {
 		t.Fatalf("panics = %d, want 2", e.Panics())
 	}
-	if s := r.Snapshot()[0]; s.Panics != 2 {
-		t.Errorf("snapshot panics = %d, want 2", s.Panics)
-	}
-}
-
-func TestRecentQPSAcrossIdleGaps(t *testing.T) {
-	e := newEndpoint("test")
-	now := time.Now().Unix()
-	e.created = time.Now().Add(-time.Hour) // old endpoint: no young-endpoint shortcut
-	// A burst 3 seconds ago, then silence: the ring must still hold the
-	// burst (it is within the window) but average it over the window.
-	for i := 0; i < 50; i++ {
-		e.tick(now - 3)
-	}
-	qps := e.RecentQPS()
-	want := 50.0 / recentWindow
-	if qps < want*0.99 || qps > want*1.01 {
-		t.Errorf("RecentQPS = %v, want ~%v (50 requests in a %ds window)", qps, want, int(recentWindow))
-	}
-	// A burst far older than the window must have aged out entirely,
-	// even with no intervening traffic to overwrite its slot.
-	e2 := newEndpoint("test2")
-	e2.created = time.Now().Add(-time.Hour)
-	for i := 0; i < 50; i++ {
-		e2.tick(now - int64(recentWindow) - 40)
-	}
-	if qps := e2.RecentQPS(); qps != 0 {
-		t.Errorf("RecentQPS after idle gap = %v, want 0 (burst aged out)", qps)
-	}
-	// Sparse traffic across the gap: one tagged second inside the
-	// window counts, stale slots from before it do not.
-	e3 := newEndpoint("test3")
-	e3.created = time.Now().Add(-time.Hour)
-	for i := 0; i < 20; i++ {
-		e3.tick(now - int64(recentWindow) - 40) // stale
-	}
-	e3.tick(now - 1) // fresh
-	if qps := e3.RecentQPS(); qps != 1.0/recentWindow {
-		t.Errorf("RecentQPS sparse = %v, want %v", qps, 1.0/recentWindow)
+	if got := value(t, r, "xqest_http_panics_total", "endpoint", "append"); got != 2 {
+		t.Errorf("gathered panics = %v, want 2", got)
 	}
 }

@@ -48,10 +48,6 @@ func NewPatternStats(maxTracked int) *PatternStats {
 // DefaultMaxPatterns bounds the tracked-pattern set.
 const DefaultMaxPatterns = 64
 
-// DefaultTopPatterns is how many tracked patterns introspection
-// surfaces (the /stats top-K).
-const DefaultTopPatterns = 10
-
 // NormalizePattern canonicalizes a pattern's text for keying: leading
 // and trailing space is trimmed and internal whitespace runs collapse
 // to one space. Allocation-free for already-normal patterns (the
@@ -109,52 +105,6 @@ func (p *PatternStats) ObserveQError(pat string, q float64) {
 // set.
 func (p *PatternStats) Untracked() uint64 { return p.other.Load() }
 
-// PatternSnapshot digests one tracked pattern.
-type PatternSnapshot struct {
-	Pattern  string  `json:"pattern"`
-	Requests uint64  `json:"requests"`
-	Estimate Summary `json:"estimate"`
-	Latency  Summary `json:"latency"` // seconds
-	// QError digests the pattern's shadow-verified estimate error;
-	// absent until the accuracy monitor has verified at least one of
-	// the pattern's estimates.
-	QError *Summary `json:"qerror,omitempty"`
-}
-
-// Snapshot returns up to topK tracked patterns, most-requested first
-// (topK <= 0 means all).
-func (p *PatternStats) Snapshot(topK int) []PatternSnapshot {
-	p.mu.RLock()
-	ents := make([]*patternEntry, 0, len(p.m))
-	for _, e := range p.m {
-		ents = append(ents, e)
-	}
-	p.mu.RUnlock()
-	sort.Slice(ents, func(i, j int) bool {
-		ci, cj := ents[i].count.Load(), ents[j].count.Load()
-		if ci != cj {
-			return ci > cj
-		}
-		return ents[i].pattern < ents[j].pattern
-	})
-	if topK > 0 && len(ents) > topK {
-		ents = ents[:topK]
-	}
-	out := make([]PatternSnapshot, len(ents))
-	for i, e := range ents {
-		out[i] = PatternSnapshot{
-			Pattern:  e.pattern,
-			Requests: e.count.Load(),
-			Estimate: e.est.Summary(),
-			Latency:  e.lat.Summary(),
-		}
-		if qs := e.qerr.Summary(); qs.Count > 0 {
-			out[i].QError = &qs
-		}
-	}
-	return out
-}
-
 // Collect exports the tracked patterns: per-pattern request counters,
 // latency sum/count (enough for rate and mean) and mean estimate while
 // any pattern is tracked, and the untracked-overflow counter.
@@ -184,7 +134,7 @@ func (p *PatternStats) Collect(e *Expo) {
 		}
 		e.Family("xqest_pattern_estimate_mean", "gauge", "Mean estimated answer size per tracked pattern.")
 		for _, ent := range ents {
-			e.Sample("xqest_pattern_estimate_mean", ent.est.Summary().Mean, "pattern", ent.pattern)
+			e.Sample("xqest_pattern_estimate_mean", ent.est.Mean(), "pattern", ent.pattern)
 		}
 	}
 	// Per-pattern q-error digests: only declared when some pattern has

@@ -21,22 +21,22 @@ func TestPatternStatsTracksAndBounds(t *testing.T) {
 	if got := p.Untracked(); got != 2 {
 		t.Errorf("Untracked = %d, want 2", got)
 	}
-	snap := p.Snapshot(10)
-	if len(snap) != 3 {
-		t.Fatalf("Snapshot len = %d, want 3", len(snap))
+	fams := Gather(p)
+	if f := fams.Find("xqest_pattern_requests_total"); f == nil || len(f.Samples) != 3 {
+		t.Fatalf("requests family = %+v, want 3 tracked patterns", f)
 	}
-	if snap[0].Pattern != "//a//b" || snap[0].Requests != 5 {
-		t.Errorf("top pattern = %+v, want //a//b with 5 requests", snap[0])
+	ab := []string{"pattern", "//a//b"}
+	if v, _ := fams.Value("xqest_pattern_requests_total", ab...); v != 5 {
+		t.Errorf("//a//b requests = %v, want 5", v)
 	}
-	if snap[0].Estimate.Count != 5 || snap[0].Estimate.P50 < 8 || snap[0].Estimate.P50 > 16 {
-		t.Errorf("estimate digest = %+v, want p50 near 10", snap[0].Estimate)
+	if v, _ := fams.Value("xqest_pattern_estimate_mean", ab...); v != 10 {
+		t.Errorf("//a//b estimate mean = %v, want 10", v)
 	}
-	if snap[0].Latency.Count != 5 {
-		t.Errorf("latency count = %d, want 5", snap[0].Latency.Count)
+	if v, _ := fams.Value("xqest_pattern_latency_seconds_count", ab...); v != 5 {
+		t.Errorf("//a//b latency count = %v, want 5", v)
 	}
-	// topK smaller than the tracked set truncates.
-	if got := len(p.Snapshot(2)); got != 2 {
-		t.Errorf("Snapshot(2) len = %d, want 2", got)
+	if v, _ := fams.Value("xqest_pattern_untracked_requests_total"); v != 2 {
+		t.Errorf("untracked requests = %v, want 2", v)
 	}
 }
 
@@ -45,15 +45,15 @@ func TestPatternStatsNormalization(t *testing.T) {
 	p.Observe("  //a//b ", 1, time.Microsecond)
 	p.Observe("//a//b", 1, time.Microsecond)
 	p.Observe("//a \t //b", 1, time.Microsecond)
-	snap := p.Snapshot(10)
-	if len(snap) != 2 {
-		t.Fatalf("Snapshot = %+v, want 2 normalized patterns", snap)
+	f := Gather(p).Find("xqest_pattern_requests_total")
+	if f == nil || len(f.Samples) != 2 {
+		t.Fatalf("requests family = %+v, want 2 normalized patterns", f)
 	}
-	if snap[0].Pattern != "//a//b" || snap[0].Requests != 2 {
-		t.Errorf("normalized top = %+v, want //a//b ×2", snap[0])
+	if s := f.Samples[1]; s.Label("pattern") != "//a//b" || s.Value != 2 {
+		t.Errorf("normalized = %+v, want //a//b ×2", s)
 	}
-	if snap[1].Pattern != "//a //b" {
-		t.Errorf("whitespace-collapsed = %q, want %q", snap[1].Pattern, "//a //b")
+	if got := f.Samples[0].Label("pattern"); got != "//a //b" {
+		t.Errorf("whitespace-collapsed = %q, want %q", got, "//a //b")
 	}
 }
 
@@ -63,7 +63,7 @@ func TestPatternStatsCollect(t *testing.T) {
 	p.Observe("//x//y", 7, 3*time.Millisecond)
 	r.Register(p)
 	var buf bytes.Buffer
-	if err := r.WriteExposition(&buf); err != nil {
+	if err := r.Gather().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -97,12 +97,9 @@ func TestPatternStatsQError(t *testing.T) {
 	p.Observe("//a//b", 10, 0)
 	p.ObserveQError("//a//b", 1.5)
 	p.ObserveQError("//never//seen", 9) // untracked: dropped silently
-	snap := p.Snapshot(0)
-	if len(snap) != 1 {
-		t.Fatalf("snapshot len = %d, want 1", len(snap))
-	}
-	if snap[0].QError == nil || snap[0].QError.Count != 1 || snap[0].QError.Max != 1.5 {
-		t.Errorf("pattern q-error digest = %+v", snap[0].QError)
+	fams := Gather(p)
+	if f := fams.Find("xqest_pattern_qerror_count"); f == nil || len(f.Samples) != 1 {
+		t.Fatalf("qerror family = %+v, want one verified pattern", f)
 	}
 
 	// Without any verified pattern the per-pattern q-error families are
@@ -110,12 +107,16 @@ func TestPatternStatsQError(t *testing.T) {
 	empty := NewPatternStats(2)
 	empty.Observe("//a//b", 10, 0)
 	var buf bytes.Buffer
-	empty.Collect(NewExpo(&buf))
+	if err := Gather(empty).WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
 	if strings.Contains(buf.String(), "xqest_pattern_qerror") {
 		t.Errorf("qerror families declared without verified observations:\n%s", buf.String())
 	}
 	buf.Reset()
-	p.Collect(NewExpo(&buf))
+	if err := fams.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	if !strings.Contains(out, `xqest_pattern_qerror_count{pattern="//a//b"} 1`) {
 		t.Errorf("missing per-pattern qerror count:\n%s", out)

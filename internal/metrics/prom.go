@@ -1,24 +1,21 @@
 package metrics
 
 import (
-	"io"
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 )
 
-// Collector contributes metric families to a Prometheus text
-// exposition. Each subsystem (WAL, durable store, shard store, trace
-// recorders, the server itself) implements Collect and registers on
-// the Registry, so /metrics is assembled by the owners of the state
-// instead of the server hand-walking every subsystem.
+// Collector contributes metric families to a gather. Each subsystem
+// (WAL, durable store, shard store, trace recorders, the server
+// itself) implements Collect and registers on the Registry, so /stats
+// and /metrics are assembled by the owners of the state instead of the
+// server hand-walking every subsystem.
 //
 // A Collect implementation must write whole families: declare each
 // family once (Family / the typed helpers) and emit every one of its
-// samples before starting the next family — the text format requires
-// one contiguous group per metric name.
+// samples before starting the next family.
 type Collector interface {
 	Collect(e *Expo)
 }
@@ -29,113 +26,54 @@ type CollectorFunc func(e *Expo)
 // Collect calls f.
 func (f CollectorFunc) Collect(e *Expo) { f(e) }
 
-// Expo writes the Prometheus text exposition format (version 0.0.4).
-// It is a thin append-only writer: errors are sticky and surfaced by
-// Err, so collectors can emit unconditionally. HELP/TYPE headers are
-// deduplicated per family name, letting two collectors safely share a
-// family only if they emit into it back-to-back.
+// Expo records the families collectors emit, in emission order, for
+// one gather (see Gather). A family declared again — by a second
+// collector, or by a helper called in a loop — is not duplicated: its
+// later samples join the family already recorded.
 type Expo struct {
-	w    io.Writer
-	err  error
-	line []byte
-	seen map[string]bool
+	fams  Families
+	index map[string]int
+	cur   int // index of the family Sample adds to
 }
 
-// NewExpo returns an exposition writer over w.
-func NewExpo(w io.Writer) *Expo {
-	return &Expo{w: w, seen: make(map[string]bool)}
-}
-
-// Err returns the first write error, if any.
-func (e *Expo) Err() error { return e.err }
-
-func (e *Expo) write(b []byte) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.Write(b)
-}
-
-// Family declares a metric family: one # HELP and one # TYPE line,
-// written once per name. typ is "counter", "gauge" or "histogram".
+// Family declares a metric family, recorded once per name. typ is
+// "counter", "gauge" or "histogram". Later Samples belong to it.
 func (e *Expo) Family(name, typ, help string) {
-	if e.seen[name] {
+	if i, ok := e.index[name]; ok {
+		e.cur = i
 		return
 	}
-	e.seen[name] = true
-	e.line = e.line[:0]
-	e.line = append(e.line, "# HELP "...)
-	e.line = append(e.line, name...)
-	e.line = append(e.line, ' ')
-	e.line = append(e.line, help...)
-	e.line = append(e.line, "\n# TYPE "...)
-	e.line = append(e.line, name...)
-	e.line = append(e.line, ' ')
-	e.line = append(e.line, typ...)
-	e.line = append(e.line, '\n')
-	e.write(e.line)
+	if e.index == nil {
+		e.index = make(map[string]int)
+	}
+	e.cur = len(e.fams)
+	e.index[name] = e.cur
+	e.fams = append(e.fams, Family{Name: name, Type: typ, Help: help})
 }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
+// add appends one sample to the current family, taking ownership of
+// labels.
+func (e *Expo) add(name string, labels []string, value float64) {
+	f := &e.fams[e.cur]
+	f.Samples = append(f.Samples, Sample{Name: name, Labels: labels, Value: value})
 }
 
-// appendSample renders `name{k="v",...} value\n`. labels alternate
-// key, value; an odd trailing key is ignored.
-func (e *Expo) appendSample(name string, labels []string, value float64) {
-	e.line = e.line[:0]
-	e.line = append(e.line, name...)
-	if len(labels) >= 2 {
-		e.line = append(e.line, '{')
-		for i := 0; i+1 < len(labels); i += 2 {
-			if i > 0 {
-				e.line = append(e.line, ',')
-			}
-			e.line = append(e.line, labels[i]...)
-			e.line = append(e.line, '=', '"')
-			e.line = append(e.line, escapeLabel(labels[i+1])...)
-			e.line = append(e.line, '"')
-		}
-		e.line = append(e.line, '}')
-	}
-	e.line = append(e.line, ' ')
-	e.line = strconv.AppendFloat(e.line, value, 'g', -1, 64)
-	e.line = append(e.line, '\n')
-	e.write(e.line)
-}
-
-// Sample writes one sample of an already-declared family.
+// Sample records one sample of the most recently declared family.
+// labels alternate key, value; an odd trailing key is ignored.
 func (e *Expo) Sample(name string, value float64, labels ...string) {
-	e.appendSample(name, labels, value)
+	e.add(name, append([]string(nil), labels[:len(labels)&^1]...), value)
 }
 
-// Counter declares a single-sample counter family and writes its value.
+// Counter declares a single-sample counter family and records its value.
 func (e *Expo) Counter(name, help string, value float64, labels ...string) {
 	e.Family(name, "counter", help)
-	e.appendSample(name, labels, value)
+	e.Sample(name, value, labels...)
 }
 
-// Gauge declares a single-sample gauge family and writes its value.
+// Gauge declares a single-sample gauge family and records its value.
 func (e *Expo) Gauge(name, help string, value float64, labels ...string) {
 	e.Family(name, "gauge", help)
-	e.appendSample(name, labels, value)
+	e.Sample(name, value, labels...)
 }
 
 // HistogramFamily declares a histogram family; emit its series with
@@ -144,50 +82,53 @@ func (e *Expo) HistogramFamily(name, help string) {
 	e.Family(name, "histogram", help)
 }
 
-// HistogramSamples writes one labeled series of a declared histogram
-// family: a cumulative `_bucket{le="b"}` line per bound (the count of
+// HistogramSamples records one labeled series of a declared histogram
+// family: a cumulative `_bucket{le="b"}` sample per bound (the count of
 // observations <= b), the +Inf bucket, then `_sum` and `_count`. The
 // +Inf bucket and _count reuse the summed bucket counts, so the series
 // is consistent under concurrent Observes.
 func (e *Expo) HistogramSamples(name string, h *Histogram, labels ...string) {
+	labels = labels[:len(labels)&^1]
 	bucket := name + "_bucket"
-	withLE := append(append(make([]string, 0, len(labels)+2), labels...), "le", "")
 	var cum uint64
 	for i := range h.buckets {
 		cum += h.buckets[i].Load()
+		le := "+Inf"
 		if i < len(h.bounds) {
-			withLE[len(withLE)-1] = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
-		} else {
-			withLE[len(withLE)-1] = "+Inf"
+			le = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
 		}
-		e.appendSample(bucket, withLE, float64(cum))
+		e.add(bucket, append(append(make([]string, 0, len(labels)+2), labels...), "le", le), float64(cum))
 	}
-	e.appendSample(name+"_sum", labels, h.Sum())
-	e.appendSample(name+"_count", labels, float64(cum))
+	e.Sample(name+"_sum", h.Sum(), labels...)
+	e.Sample(name+"_count", float64(cum), labels...)
 }
 
-// Register adds a collector to the registry's exposition. Collectors
-// run in registration order on every WriteExposition call.
+// Gather runs the collectors, in order, into one gather.
+func Gather(cs ...Collector) Families {
+	var e Expo
+	for _, c := range cs {
+		c.Collect(&e)
+	}
+	return e.fams
+}
+
+// Register adds a collector to the registry's gather. Collectors run
+// in registration order on every Gather call.
 func (r *Registry) Register(c Collector) {
 	r.collMu.Lock()
 	defer r.collMu.Unlock()
 	r.collectors = append(r.collectors, c)
 }
 
-// WriteExposition renders the full Prometheus text exposition: the
-// registry's own per-endpoint families followed by every registered
-// collector, in registration order.
-func (r *Registry) WriteExposition(w io.Writer) error {
-	e := NewExpo(w)
-	r.Collect(e)
+// Gather collects the registry's own per-endpoint families followed by
+// every registered collector, in registration order. It is the one
+// source both encodings render: WriteText for /metrics and JSON for
+// /stats.
+func (r *Registry) Gather() Families {
 	r.collMu.Lock()
-	colls := make([]Collector, len(r.collectors))
-	copy(colls, r.collectors)
+	cs := append([]Collector{CollectorFunc(r.Collect)}, r.collectors...)
 	r.collMu.Unlock()
-	for _, c := range colls {
-		c.Collect(e)
-	}
-	return e.Err()
+	return Gather(cs...)
 }
 
 // Collect writes the registry's own families: uptime plus the
@@ -205,7 +146,7 @@ func (r *Registry) Collect(e *Expo) {
 	e.Gauge("xqest_uptime_seconds", "Seconds since the metrics registry was created.", r.Uptime().Seconds())
 
 	// The per-endpoint families are only declared once an endpoint
-	// exists, so a fresh exposition carries no sample-less families.
+	// exists, so a fresh gather carries no sample-less families.
 	if len(eps) == 0 {
 		return
 	}

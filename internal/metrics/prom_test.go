@@ -36,13 +36,13 @@ func TestRegistryExposition(t *testing.T) {
 	e := r.Endpoint("estimate")
 	for i := 0; i < 10; i++ {
 		e.Begin()
-		e.End(time.Millisecond, time.Now(), OK)
+		e.End(time.Millisecond, OK)
 	}
 	e.Begin()
-	e.End(time.Millisecond, time.Now(), Error)
+	e.End(time.Millisecond, Error)
 
 	var buf bytes.Buffer
-	if err := r.WriteExposition(&buf); err != nil {
+	if err := r.Gather().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -86,7 +86,7 @@ func TestExpositionLabelEscaping(t *testing.T) {
 		e.Gauge("test_gauge", "help", 1, "label", "a\\b\"c\nd")
 	}))
 	var buf bytes.Buffer
-	if err := r.WriteExposition(&buf); err != nil {
+	if err := r.Gather().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	want := `test_gauge{label="a\\b\"c\nd"} 1`
@@ -101,7 +101,7 @@ func TestCollectorRegistrationOrderPreserved(t *testing.T) {
 	r.Register(CollectorFunc(func(e *Expo) { order = append(order, "a") }))
 	r.Register(CollectorFunc(func(e *Expo) { order = append(order, "b") }))
 	var buf bytes.Buffer
-	if err := r.WriteExposition(&buf); err != nil {
+	if err := r.Gather().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {

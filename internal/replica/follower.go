@@ -470,6 +470,8 @@ func (f *Follower) Status() Status {
 // Collect exports the follower-side replication families.
 func (f *Follower) Collect(e *metrics.Expo) {
 	s := f.Status()
+	e.Gauge("xqest_replica_leader_seq", "Leader's durable WAL sequence, as last reported to the follower.", float64(s.LeaderSeq))
+	e.Gauge("xqest_replica_applied_seq", "Newest leader WAL sequence the follower has durably applied.", float64(s.AppliedSeq))
 	e.Gauge("xqest_replica_lag_seq", "WAL sequences the follower is behind the leader.", float64(s.LagSeq))
 	e.Gauge("xqest_replica_lag_seconds", "Seconds since the follower last heard from the leader.", s.LagSeconds)
 	boolGauge := func(name, help string, v bool) {

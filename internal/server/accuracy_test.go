@@ -2,10 +2,13 @@ package server
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"xmlest/internal/metrics"
 )
 
 // TestShadowSamplingEndToEnd drives /estimate with 1-in-1 shadow
@@ -23,34 +26,31 @@ func TestShadowSamplingEndToEnd(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	var stats StatsResponse
+	var stats metrics.Families
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := http.Get(ts.URL + "/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats = decode[StatsResponse](t, resp)
-		if stats.Accuracy != nil && stats.Accuracy.Verified > 0 {
+		stats = getStats(t, ts.URL)
+		if v, _ := stats.Value("xqest_accuracy_verified_total"); v > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("accuracy section never verified anything: %+v", stats.Accuracy)
+			t.Fatalf("accuracy families never verified anything: %+v", stats.Find("xqest_accuracy_verified_total"))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	acc := stats.Accuracy
-	if acc.SampleEvery != 1 {
-		t.Errorf("sample_every = %d, want 1", acc.SampleEvery)
+	if every := value(t, stats, "xqest_accuracy_sample_every"); every != 1 {
+		t.Errorf("sample_every = %v, want 1", every)
 	}
-	if acc.Sampled < acc.Verified {
-		t.Errorf("sampled %d < verified %d", acc.Sampled, acc.Verified)
+	sampled, verified := value(t, stats, "xqest_accuracy_sampled_total"), value(t, stats, "xqest_accuracy_verified_total")
+	if sampled < verified {
+		t.Errorf("sampled %v < verified %v", sampled, verified)
 	}
 	// dept1 is tiny and the estimator sees the whole document: verified
 	// q-errors must be sane (>= 1, finite).
-	if acc.QError.Count == 0 || acc.QError.Max < 1 {
-		t.Errorf("q-error digest empty or invalid: %+v", acc.QError)
+	count, sum := value(t, stats, "xqest_accuracy_qerror_count"), value(t, stats, "xqest_accuracy_qerror_sum")
+	if count == 0 || sum < count || math.IsInf(sum, 0) {
+		t.Errorf("q-error histogram empty or invalid: count %v, sum %v", count, sum)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -85,17 +85,14 @@ func TestShadowSamplingEndToEnd(t *testing.T) {
 }
 
 // TestShadowSamplingDisabledByDefault asserts the zero-config server
-// has no monitor: /stats omits the accuracy section entirely.
+// has no monitor: /stats carries no accuracy family.
 func TestShadowSamplingDisabledByDefault(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp := postJSON(t, ts.URL+"/estimate", EstimateRequest{Pattern: "//faculty//TA"})
 	resp.Body.Close()
-	sresp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := decode[StatsResponse](t, sresp)
-	if stats.Accuracy != nil {
-		t.Errorf("accuracy section present with sampling disabled: %+v", stats.Accuracy)
+	for _, f := range getStats(t, ts.URL) {
+		if strings.HasPrefix(f.Name, "xqest_accuracy_") {
+			t.Errorf("accuracy family %s present with sampling disabled", f.Name)
+		}
 	}
 }

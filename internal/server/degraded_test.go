@@ -84,9 +84,9 @@ func TestDegradedServingEndToEnd(t *testing.T) {
 	}
 
 	// /stats surfaces the durability degradation for monitoring.
-	st := decode[StatsResponse](t, mustGet(t, ts.URL+"/stats"))
-	if st.Durability == nil || !st.Durability.Degraded || st.Durability.DegradedComponent != "wal" {
-		t.Fatalf("degraded stats durability: %+v", st.Durability)
+	st := getStats(t, ts.URL)
+	if wal, cp := value(t, st, "xqest_degraded", "component", "wal"), value(t, st, "xqest_degraded", "component", "checkpoint"); wal != 1 || cp != 0 {
+		t.Fatalf("degraded stats: xqest_degraded wal=%v checkpoint=%v, want 1 and 0", wal, cp)
 	}
 
 	// Restart on a healthy disk: the acked append is there, the refused

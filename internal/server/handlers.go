@@ -15,8 +15,6 @@ import (
 	"unsafe"
 
 	"xmlest"
-	"xmlest/internal/accuracy"
-	"xmlest/internal/metrics"
 	"xmlest/internal/trace"
 	"xmlest/internal/version"
 )
@@ -57,8 +55,8 @@ type EstimateResponse struct {
 // fsynced — the ack-to-durable contract: under -fsync always Durable
 // is true in the ack itself (TestDurableServer; perfbench's
 // ingest-mixed recovers every acknowledged append after SIGKILL);
-// under interval/off clients can poll /stats until
-// durability.durable_seq reaches WALSeq.
+// under interval/off clients can poll /healthz until durable_seq
+// reaches WALSeq.
 type AppendResponse struct {
 	ShardID uint64 `json:"shard_id"`
 	Docs    int    `json:"docs"`
@@ -109,40 +107,6 @@ type ShardsResponse struct {
 	Shards  []ShardJSON `json:"shards"`
 }
 
-// StatsResponse is the daemon's introspection surface: corpus shape,
-// summary size, and per-endpoint serving metrics.
-type StatsResponse struct {
-	UptimeSeconds   float64                    `json:"uptime_seconds"`
-	Version         uint64                     `json:"version"`
-	ReadOnly        bool                       `json:"read_only"`
-	Corpus          xmlest.DatabaseStats       `json:"corpus"`
-	SummaryBytes    int                        `json:"summary_bytes"`
-	GridSize        int                        `json:"grid_size"`
-	AutoCompactions uint64                     `json:"auto_compact_rounds"`
-	AutoMerged      uint64                     `json:"auto_compact_merged"`
-	AppendedDocs    uint64                     `json:"appended_docs"`
-	Endpoints       []metrics.EndpointSnapshot `json:"endpoints"`
-	// Patterns lists the most-requested estimate patterns (bounded
-	// top-K tracking; UntrackedPatterns counts requests for patterns
-	// beyond the tracked set).
-	Patterns          []metrics.PatternSnapshot `json:"patterns,omitempty"`
-	UntrackedPatterns uint64                    `json:"untracked_patterns,omitempty"`
-	// Accuracy reports the online shadow-execution monitor: sampling
-	// pipeline counters and the verified q-error digest. Absent when
-	// shadow sampling is disabled. Per-pattern q-error digests appear
-	// inside Patterns entries.
-	Accuracy *accuracy.MonitorSnapshot `json:"accuracy,omitempty"`
-	// Build identifies the serving binary.
-	Build string `json:"build"`
-	// Durability reports the data directory's state (WAL size, fsync
-	// watermarks, checkpoints, boot recovery) on a durable daemon;
-	// absent otherwise.
-	Durability *xmlest.DurabilityStats `json:"durability,omitempty"`
-	// Replication reports the node's role and full replication state:
-	// follower lag and counters, leader stream counters.
-	Replication *ReplicationJSON `json:"replication,omitempty"`
-}
-
 // DegradedJSON names the failed component on a degraded daemon: "wal"
 // (log sealed; mutations refused until restart), "checkpoint" (last
 // checkpoint failed; retried with backoff) or "replication" (follower
@@ -152,8 +116,9 @@ type DegradedJSON struct {
 	Reason    string `json:"reason"`
 }
 
-// ReplicationJSON is the replication role and state, on /healthz (the
-// cheap subset monitors poll) and /stats (everything).
+// ReplicationJSON is the /healthz replication section: the node's role
+// and, on a follower, its lag. The stream counters are families of the
+// registry (xqest_replica_*), on /stats and /metrics.
 type ReplicationJSON struct {
 	// Role is "leader" (durable; serves /wal/stream), "follower"
 	// (replicating from Upstream; also serves /wal/stream for chaining)
@@ -168,16 +133,6 @@ type ReplicationJSON struct {
 	LagSeq     *uint64  `json:"lag_seq,omitempty"`
 	LagSeconds *float64 `json:"lag_seconds,omitempty"`
 	Stale      bool     `json:"stale,omitempty"`
-	// Follower-side counters (stats only — omitted from /healthz).
-	Reconnects       uint64 `json:"reconnects,omitempty"`
-	StreamErrors     uint64 `json:"stream_errors,omitempty"`
-	RecordsApplied   uint64 `json:"records_applied,omitempty"`
-	SnapshotsApplied uint64 `json:"snapshots_applied,omitempty"`
-	LastError        string `json:"last_error,omitempty"`
-	FatalError       string `json:"fatal_error,omitempty"`
-	// Leader-side counters (stats only).
-	ActiveStreams *int64 `json:"active_streams,omitempty"`
-	BytesShipped  uint64 `json:"bytes_shipped,omitempty"`
 }
 
 // HealthResponse is the /healthz body. Status is "ok", "degraded"
@@ -189,12 +144,13 @@ type HealthResponse struct {
 	Shards  int    `json:"shards"`
 	// DurableSeq is the WAL durability watermark on daemons with a data
 	// directory: every sequence ≤ it has been flushed to disk. Exposed
-	// here as well as in /stats because durability monitors may poll at
-	// rates the full stats encoding should not be asked to serve.
+	// here as well as in xqest_wal_durable_seq because durability
+	// monitors may poll at rates a full gather should not be asked to
+	// serve.
 	DurableSeq *uint64       `json:"durable_seq,omitempty"`
 	Degraded   *DegradedJSON `json:"degraded,omitempty"`
 	// Replication reports the node's role and, on a follower, its lag —
-	// the fields a health monitor needs without the full /stats body.
+	// the fields a health monitor needs without a full gather.
 	Replication *ReplicationJSON `json:"replication,omitempty"`
 	// Build identifies the serving binary.
 	Build string `json:"build"`
@@ -265,10 +221,9 @@ func (s *Server) role() string {
 	}
 }
 
-// replicationJSON assembles the replication section. The healthz
-// variant carries role, upstream, lag and staleness; full adds the
-// stream counters for /stats.
-func (s *Server) replicationJSON(full bool) *ReplicationJSON {
+// replicationJSON assembles the /healthz replication section: role,
+// upstream, lag and staleness.
+func (s *Server) replicationJSON() *ReplicationJSON {
 	rj := &ReplicationJSON{Role: s.role()}
 	if s.follower != nil {
 		fs := s.follower.Status()
@@ -281,19 +236,6 @@ func (s *Server) replicationJSON(full bool) *ReplicationJSON {
 		lagSec := fs.LagSeconds
 		rj.LagSeconds = &lagSec
 		rj.Stale = fs.Stale
-		if full {
-			rj.Reconnects = fs.Reconnects
-			rj.StreamErrors = fs.StreamErrors
-			rj.RecordsApplied = fs.RecordsApplied
-			rj.SnapshotsApplied = fs.SnapshotsApplied
-			rj.LastError = fs.LastError
-			rj.FatalError = fs.FatalError
-		}
-	}
-	if full && s.streamer != nil {
-		active := s.streamer.ActiveStreams()
-		rj.ActiveStreams = &active
-		rj.BytesShipped = s.streamer.BytesShipped()
 	}
 	return rj
 }
@@ -548,7 +490,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 
 // handleAppendStream lands one large XML document as a summary-only
 // shard without ever buffering it in memory: the body is spooled to a
-// temporary file (bounded by MaxStreamBytes, far above the buffered
+// temporary file (bounded by maxStreamBytes, far above the buffered
 // path's body cap) and the streaming build scans it twice with memory
 // bounded by document depth. On a durable daemon the ack is an
 // immediate checkpoint rather than a WAL record — see
@@ -673,50 +615,18 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleStats reports corpus and serving statistics, all derived from
-// one pinned snapshot.
+// handleStats serves the registry's gather as JSON: the families of
+// /metrics, in the same order with the same values, each with its
+// name, type, help and samples.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := s.est.Snapshot()
-	var durability *xmlest.DurabilityStats
-	if s.db != nil {
-		if ds, ok := s.db.DurabilityStats(); ok {
-			durability = &ds
-		}
-	}
-	var acc *accuracy.MonitorSnapshot
-	if s.monitor != nil {
-		a := s.monitor.Snapshot()
-		acc = &a
-	}
-	writeJSON(w, http.StatusOK, StatsResponse{
-		UptimeSeconds:     s.reg.Uptime().Seconds(),
-		Version:           snap.Version(),
-		ReadOnly:          s.ReadOnly(),
-		Corpus:            snap.Stats(),
-		SummaryBytes:      snap.StorageBytes(),
-		GridSize:          s.gridSize(),
-		AutoCompactions:   s.autoRounds.Load(),
-		AutoMerged:        s.autoMerges.Load(),
-		AppendedDocs:      s.appendsSeen.Load(),
-		Endpoints:         s.reg.Snapshot(),
-		Patterns:          s.patterns.Snapshot(metrics.DefaultTopPatterns),
-		UntrackedPatterns: s.patterns.Untracked(),
-		Accuracy:          acc,
-		Build:             version.String(),
-		Durability:        durability,
-		Replication:       s.replicationJSON(true),
-	})
+	writeJSON(w, http.StatusOK, s.reg.Gather())
 }
 
-// handleMetrics serves the Prometheus text exposition. The body is
-// staged in a buffer so a mid-collection error can still produce a
-// clean 500 instead of a truncated exposition.
+// handleMetrics serves the registry's gather as Prometheus text. The
+// body is staged in a buffer so its length is known up front.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
-	if err := s.reg.WriteExposition(&buf); err != nil {
-		writeError(w, http.StatusInternalServerError, "metrics: "+err.Error())
-		return
-	}
+	_ = s.reg.Gather().WriteText(&buf) // a bytes.Buffer write cannot fail
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(http.StatusOK)
@@ -754,17 +664,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, HealthResponse{
 		Status: status, Version: snap.Version(), Shards: snap.ShardCount(),
 		DurableSeq: durableSeq, Degraded: degraded,
-		Replication: s.replicationJSON(false),
+		Replication: s.replicationJSON(),
 		Build:       version.String(),
 	})
-}
-
-// gridSize reports the effective grid size. Loaded (read-only)
-// estimators carry zero options — their grid lives inside the summary
-// blob — so the default is the best available answer there.
-func (s *Server) gridSize() int {
-	if g := s.est.Options().GridSize; g > 0 {
-		return g
-	}
-	return xmlest.DefaultOptions.GridSize
 }

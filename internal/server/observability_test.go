@@ -136,15 +136,19 @@ func TestStatsIncludesPatternsAndBuild(t *testing.T) {
 	resp := postJSON(t, ts.URL+"/estimate", EstimateRequest{Pattern: "//staff"})
 	resp.Body.Close()
 
-	stats := decode[StatsResponse](t, httpGet(t, ts.URL+"/stats"))
-	if stats.Build == "" {
-		t.Error("stats missing build info")
+	stats := getStats(t, ts.URL)
+	if bi := stats.Find("xqest_build_info"); bi == nil || len(bi.Samples) != 1 || bi.Samples[0].Label("version") == "" {
+		t.Errorf("stats missing build info: %+v", bi)
 	}
-	if len(stats.Patterns) < 2 {
-		t.Fatalf("stats patterns = %+v, want at least 2", stats.Patterns)
+	req := stats.Find("xqest_pattern_requests_total")
+	if req == nil || len(req.Samples) < 2 {
+		t.Fatalf("stats patterns = %+v, want at least 2", req)
 	}
-	if stats.Patterns[0].Pattern != "//faculty//TA" || stats.Patterns[0].Requests != 4 {
-		t.Errorf("top pattern = %+v, want //faculty//TA ×4", stats.Patterns[0])
+	if n := value(t, stats, "xqest_pattern_requests_total", "pattern", "//faculty//TA"); n != 4 {
+		t.Errorf("//faculty//TA requests = %v, want 4", n)
+	}
+	if n := value(t, stats, "xqest_pattern_requests_total", "pattern", "//staff"); n != 1 {
+		t.Errorf("//staff requests = %v, want 1", n)
 	}
 }
 

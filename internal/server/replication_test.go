@@ -18,6 +18,13 @@ import (
 // followURL == "" makes it a leader; otherwise a follower of that URL.
 func newDurableNode(t *testing.T, followURL string) (*Server, *httptest.Server, *xmlest.Database) {
 	t.Helper()
+	return newSampledNode(t, followURL, 0)
+}
+
+// newSampledNode is newDurableNode shadow-verifying 1 in shadowSample
+// estimates (0 disables).
+func newSampledNode(t *testing.T, followURL string, shadowSample int) (*Server, *httptest.Server, *xmlest.Database) {
+	t.Helper()
 	db, err := xmlest.OpenDurable(t.TempDir(), xmlest.DurableConfig{
 		Options: xmlest.Options{GridSize: 4},
 	})
@@ -25,9 +32,10 @@ func newDurableNode(t *testing.T, followURL string) (*Server, *httptest.Server, 
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Options:   xmlest.Options{GridSize: 4},
-		FollowURL: followURL,
-		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Options:      xmlest.Options{GridSize: 4},
+		FollowURL:    followURL,
+		ShadowSample: shadowSample,
+		Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 	if followURL != "" {
 		cfg.StalenessBudget = 200 * time.Millisecond
@@ -139,15 +147,23 @@ func TestTwoNodeReplication(t *testing.T) {
 		}
 	}
 
-	// The follower's stats expose the lag denominators and counters.
-	fs := getJSON[StatsResponse](t, followerTS.URL+"/stats")
-	r := fs.Replication
-	if r == nil || r.Role != "follower" || r.LagSeq == nil || *r.LagSeq != 0 || r.RecordsApplied == 0 {
-		t.Fatalf("follower stats replication = %+v", r)
+	// The follower's stats expose the lag denominators and counters;
+	// /healthz names each node's role.
+	if r := getJSON[HealthResponse](t, followerTS.URL+"/healthz").Replication; r == nil || r.Role != "follower" {
+		t.Fatalf("follower healthz replication = %+v", r)
 	}
-	ls := getJSON[StatsResponse](t, leaderTS.URL+"/stats")
-	if ls.Replication == nil || ls.Replication.Role != "leader" || ls.Replication.BytesShipped == 0 {
-		t.Fatalf("leader stats replication = %+v", ls.Replication)
+	fs := getStats(t, followerTS.URL)
+	if lag, applied := value(t, fs, "xqest_replica_lag_seq"), value(t, fs, "xqest_replica_records_applied_total"); lag != 0 || applied == 0 {
+		t.Fatalf("follower stats: lag seq %v, records applied %v, want 0 and > 0", lag, applied)
+	}
+	if leader, applied := value(t, fs, "xqest_replica_leader_seq"), value(t, fs, "xqest_replica_applied_seq"); leader == 0 || applied != leader {
+		t.Fatalf("follower stats: leader seq %v, applied seq %v, want equal and > 0", leader, applied)
+	}
+	if r := getJSON[HealthResponse](t, leaderTS.URL+"/healthz").Replication; r == nil || r.Role != "leader" {
+		t.Fatalf("leader healthz replication = %+v", r)
+	}
+	if shipped := value(t, getStats(t, leaderTS.URL), "xqest_replica_bytes_shipped_total"); shipped == 0 {
+		t.Fatalf("leader stats: bytes shipped %v, want > 0", shipped)
 	}
 }
 

@@ -11,7 +11,8 @@
 //	                     summary-only shard; all-tags vocabulary only)
 //	POST /compact        optional {"max_shards": n}
 //	GET  /shards    serving shard set
-//	GET  /stats     corpus stats + per-endpoint QPS and p50/p95/p99
+//	GET  /stats     every metric family as JSON (the /metrics gather)
+//	GET  /metrics   the same families as Prometheus text
 //	GET  /healthz   liveness (503 while draining)
 //
 // Serving guarantees mirror the shard store's: every /estimate response
@@ -71,13 +72,6 @@ type Config struct {
 	// negative is rejected.
 	MaxBodyBytes int64
 
-	// MaxStreamBytes bounds /append-stream bodies, separately from
-	// MaxBodyBytes: streamed documents are spooled to disk and scanned
-	// with memory bounded by depth, so they may be far larger than any
-	// buffered body. 0 means DefaultMaxStreamBytes; negative is
-	// rejected.
-	MaxStreamBytes int64
-
 	// AutoCompactInterval, when positive, runs a background compaction
 	// round (per CompactionPolicy) that often; compaction rebuilds off
 	// the serving path, so estimates are never blocked by it.
@@ -114,13 +108,6 @@ type Config struct {
 	// DefaultMaxHeaderBytes; negative is rejected.
 	MaxHeaderBytes int
 
-	// DrainDelay is how long Shutdown keeps the listener accepting
-	// after /healthz flips to 503, so load-balancer probes can observe
-	// the drain before connections start being refused. 0 (the
-	// default) closes immediately — right for tests and single-node
-	// use; set it to at least one probe interval behind a balancer.
-	DrainDelay time.Duration
-
 	// Logger receives serving events as structured records; nil means
 	// slog.Default().
 	Logger *slog.Logger
@@ -139,7 +126,7 @@ type Config struct {
 	// ShadowSample samples 1 in N served estimates for shadow execution:
 	// the sampled pattern is exactly counted against a pinned snapshot on
 	// a bounded background pool and the observed q-error feeds the
-	// accuracy families in /metrics and the accuracy section of /stats.
+	// accuracy families of /stats and /metrics.
 	// The serving path never blocks on it — a full queue drops the
 	// sample. 0 or negative disables shadow execution.
 	ShadowSample int
@@ -177,7 +164,6 @@ const (
 	DefaultMaxInflightAppends = 64
 	DefaultMaxBatchPatterns   = 256
 	DefaultMaxBodyBytes       = 32 << 20
-	DefaultMaxStreamBytes     = 1 << 30
 	DefaultReadTimeout        = time.Minute
 	DefaultWriteTimeout       = 5 * time.Minute
 	DefaultIdleTimeout        = 2 * time.Minute
@@ -202,6 +188,12 @@ const (
 	maxCheckpointBackoff     = 5 * time.Minute
 )
 
+// maxStreamBytes bounds /append-stream bodies, separately from
+// Config.MaxBodyBytes: streamed documents are spooled to disk and
+// scanned with memory bounded by depth, so they may be far larger than
+// any buffered body.
+const maxStreamBytes = 1 << 30
+
 // withDefaults validates and fills in the zero fields.
 func (c Config) withDefaults() (Config, error) {
 	if c.Addr == "" {
@@ -216,12 +208,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if c.MaxStreamBytes == 0 {
-		c.MaxStreamBytes = DefaultMaxStreamBytes
-	}
-	if c.MaxInflightAppends < 0 || c.MaxBatchPatterns < 0 || c.MaxBodyBytes < 0 || c.MaxStreamBytes < 0 {
-		return c, fmt.Errorf("server: negative limit in config (appends %d, batch %d, body %d, stream %d)",
-			c.MaxInflightAppends, c.MaxBatchPatterns, c.MaxBodyBytes, c.MaxStreamBytes)
+	if c.MaxInflightAppends < 0 || c.MaxBatchPatterns < 0 || c.MaxBodyBytes < 0 {
+		return c, fmt.Errorf("server: negative limit in config (appends %d, batch %d, body %d)",
+			c.MaxInflightAppends, c.MaxBatchPatterns, c.MaxBodyBytes)
 	}
 	if c.ReadTimeout == 0 {
 		c.ReadTimeout = DefaultReadTimeout
@@ -244,9 +233,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.CheckpointInterval < 0 {
 		return c, fmt.Errorf("server: negative checkpoint interval %s", c.CheckpointInterval)
-	}
-	if c.DrainDelay < 0 {
-		return c, fmt.Errorf("server: negative drain delay %s", c.DrainDelay)
 	}
 	if c.ShadowBudget == 0 {
 		c.ShadowBudget = DefaultShadowBudget
@@ -408,7 +394,7 @@ func newServer(db *xmlest.Database, est *xmlest.Estimator, cfg Config) (*Server,
 	s.mux = http.NewServeMux()
 	s.mux.Handle("/estimate", s.instrument("estimate", http.MethodPost, cfg.MaxBodyBytes, s.handleEstimate))
 	s.mux.Handle("/append", s.instrument("append", http.MethodPost, cfg.MaxBodyBytes, s.handleAppend))
-	s.mux.Handle("/append-stream", s.instrument("append-stream", http.MethodPost, cfg.MaxStreamBytes, s.handleAppendStream))
+	s.mux.Handle("/append-stream", s.instrument("append-stream", http.MethodPost, maxStreamBytes, s.handleAppendStream))
 	s.mux.Handle("/compact", s.instrument("compact", http.MethodPost, cfg.MaxBodyBytes, s.handleCompact))
 	s.mux.Handle("/shards", s.instrument("shards", http.MethodGet, cfg.MaxBodyBytes, s.handleShards))
 	s.mux.Handle("/stats", s.instrument("stats", http.MethodGet, cfg.MaxBodyBytes, s.handleStats))
@@ -421,7 +407,10 @@ func newServer(db *xmlest.Database, est *xmlest.Estimator, cfg Config) (*Server,
 }
 
 // collectServer exports the server's own families: build identity, Go
-// runtime stats, drain state, and the background-loop counters.
+// runtime stats, drain state, the background-loop counters, and the
+// serving set's shape from one pinned snapshot — shards, version,
+// corpus and summary size, grid and read-only flag — so a daemon
+// serving a loaded summary reports them too.
 func (s *Server) collectServer(e *metrics.Expo) {
 	bi := version.Get()
 	e.Gauge("xqest_build_info", "Build identity (value is always 1; identity is in the labels).", 1,
@@ -436,6 +425,28 @@ func (s *Server) collectServer(e *metrics.Expo) {
 	e.Counter("xqest_autocompact_rounds_total", "Auto-compaction rounds run.", float64(s.autoRounds.Load()))
 	e.Counter("xqest_autocompact_merged_total", "Shards merged away by auto-compaction.", float64(s.autoMerges.Load()))
 	e.Counter("xqest_checkpoint_rounds_total", "Background checkpoint rounds run.", float64(s.cpRounds.Load()))
+
+	snap := s.est.Snapshot()
+	st := snap.Stats()
+	e.Gauge("xqest_shards", "Shards in the serving set.", float64(st.Shards))
+	e.Gauge("xqest_set_version", "Serving-set version.", float64(st.Version))
+	e.Gauge("xqest_summary_only_shards", "Serving shards holding only a prebuilt summary (no documents to count exactly).", float64(st.SummaryOnlyShards))
+	e.Gauge("xqest_corpus_docs", "Documents in the serving set.", float64(st.Docs))
+	e.Gauge("xqest_corpus_nodes", "Nodes in the serving set.", float64(st.Nodes))
+	e.Gauge("xqest_corpus_predicates", "Registered predicates (the first document-backed shard's catalog).", float64(st.Predicates))
+	e.Gauge("xqest_summary_bytes", "Compact encoding size of the serving set's summaries.", float64(snap.StorageBytes()))
+	// A loaded estimator carries zero options (its grid lives inside
+	// the summary blob), so the default is the best available answer.
+	grid := snap.Options().GridSize
+	if grid == 0 {
+		grid = xmlest.DefaultOptions.GridSize
+	}
+	e.Gauge("xqest_grid_size", "Position-histogram grid size of the served estimator.", float64(grid))
+	readOnly := 0.0
+	if s.ReadOnly() {
+		readOnly = 1
+	}
+	e.Gauge("xqest_read_only", "1 when the daemon serves a loaded summary and refuses mutations.", readOnly)
 }
 
 // Handler returns the daemon's routed handler, for mounting on an
@@ -501,10 +512,9 @@ func (s *Server) Start() (net.Addr, error) {
 }
 
 // Shutdown gracefully stops a Started server: new /healthz probes turn
-// 503 and — after cfg.DrainDelay, giving load-balancer probes a window
-// to observe it while the listener still accepts — the auto-compaction
-// loop stops, every in-flight request completes (bounded by ctx), and
-// the summary is persisted to cfg.SnapshotPath when set.
+// 503, the auto-compaction loop stops, every in-flight request
+// completes (bounded by ctx), and the summary is persisted to
+// cfg.SnapshotPath when set.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	if s.followCancel != nil {
@@ -512,12 +522,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// apply can race the database Close below.
 		s.followCancel()
 		<-s.followDone
-	}
-	if s.cfg.DrainDelay > 0 {
-		select {
-		case <-time.After(s.cfg.DrainDelay):
-		case <-ctx.Done():
-		}
 	}
 	var errs []error
 	if s.loopCancel != nil {
@@ -552,13 +556,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				"path", s.cfg.SnapshotPath, "bytes", len(blob), "version", s.est.Version())
 		}
 	}
-	// Final durability state, captured before Close seals the layer.
-	var finalStats *xmlest.DurabilityStats
-	if s.db != nil {
-		if ds, ok := s.db.DurabilityStats(); ok {
-			finalStats = &ds
-		}
-	}
+	// The final gather, taken before Close seals the durable layer.
+	final := s.reg.Gather()
 	if s.db != nil && s.db.Durable() {
 		// Graceful shutdown of a durable daemon is a checkpoint, not a
 		// one-shot snapshot: the data directory ends fully checkpointed
@@ -570,39 +569,46 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				"dir", ds.Dir, "version", ds.CheckpointVersion, "wal_seq", ds.CheckpointWALSeq)
 		}
 	}
-	s.logFinalStats(finalStats)
+	s.logFinalStats(final)
 	return errors.Join(errs...)
 }
 
-// logFinalStats emits the shutdown stats snapshot: lifetime traffic per
-// endpoint plus the durable layer's group-commit and WAL watermarks, so
-// a drained daemon leaves a structured record of what it served.
-func (s *Server) logFinalStats(ds *xmlest.DurabilityStats) {
-	for _, ep := range s.reg.Snapshot() {
-		if ep.Requests == 0 {
-			continue
+// logFinalStats logs the shutdown gather: lifetime traffic per
+// endpoint plus the durable layer's group-commit and WAL watermarks,
+// so a drained daemon leaves a structured record of what it served.
+func (s *Server) logFinalStats(fams metrics.Families) {
+	uptime := s.reg.Uptime()
+	if req := fams.Find("xqest_http_requests_total"); req != nil {
+		for _, smp := range req.Samples {
+			if smp.Value == 0 {
+				continue
+			}
+			ep := smp.Label("endpoint")
+			errs, _ := fams.Value("xqest_http_errors_total", "endpoint", ep)
+			rejected, _ := fams.Value("xqest_http_rejected_total", "endpoint", ep)
+			s.log.Info("endpoint totals",
+				"endpoint", ep,
+				"requests", smp.Value,
+				"errors", errs,
+				"rejected", rejected,
+				"qps", smp.Value/uptime.Seconds(),
+				"p50_s", fams.Quantile("xqest_http_request_duration_seconds", 0.5, "endpoint", ep),
+				"p99_s", fams.Quantile("xqest_http_request_duration_seconds", 0.99, "endpoint", ep))
 		}
-		s.log.Info("endpoint totals",
-			"endpoint", ep.Name,
-			"requests", ep.Requests,
-			"errors", ep.Errors,
-			"rejected", ep.Rejected,
-			"qps", ep.QPS,
-			"p50_s", ep.Latency.P50,
-			"p99_s", ep.Latency.P99)
 	}
-	attrs := []any{
-		"uptime", s.reg.Uptime().String(),
-		"appended_docs", s.appendsSeen.Load(),
-		"untracked_patterns", s.patterns.Untracked(),
-	}
-	if ds != nil {
-		attrs = append(attrs,
-			"wal_seq", ds.LastSeq,
-			"durable_seq", ds.DurableSeq,
-			"commit_groups", ds.GroupCommit.Groups,
-			"commit_batches", ds.GroupCommit.Batches,
-			"checkpoints", ds.Checkpoints)
+	attrs := []any{"uptime", uptime.String()}
+	for _, a := range []struct{ key, sample string }{
+		{"appended_docs", "xqest_appended_docs_total"},
+		{"untracked_patterns", "xqest_pattern_untracked_requests_total"},
+		{"wal_seq", "xqest_wal_last_seq"},
+		{"durable_seq", "xqest_wal_durable_seq"},
+		{"commit_groups", "xqest_group_commit_group_size_count"},
+		{"commit_batches", "xqest_group_commit_group_size_sum"},
+		{"checkpoints", "xqest_checkpoints_total"},
+	} {
+		if v, ok := fams.Value(a.sample); ok {
+			attrs = append(attrs, a.key, v)
+		}
 	}
 	s.log.Info("shutdown stats", attrs...)
 }
@@ -644,8 +650,8 @@ func (s *Server) autoCompactLoop(ctx context.Context) {
 // retries with capped exponential backoff (interval × 2^failures, up
 // to min(interval×32, 5m)), so a transient fault costs a few delayed
 // checkpoints and a persistent one does not hammer a sick disk. The
-// failure count is visible as the "checkpoint" endpoint's error count
-// in /stats and as checkpoint_failures in the durability section.
+// failure count is visible as the "checkpoint" endpoint's
+// xqest_http_errors_total and as xqest_checkpoint_failures_total.
 func (s *Server) checkpointLoop(ctx context.Context) {
 	interval := s.cfg.CheckpointInterval
 	maxDelay := interval * maxCheckpointBackoffMult
@@ -685,8 +691,7 @@ func (s *Server) timeRound(name string, round func() error) error {
 	ep.Begin()
 	start := time.Now()
 	err := round()
-	end := time.Now()
-	ep.End(end.Sub(start), end, metrics.OutcomeOf(err != nil))
+	ep.End(time.Since(start), metrics.OutcomeOf(err != nil))
 	return err
 }
 
@@ -793,7 +798,7 @@ var requestIDKey = http.CanonicalHeaderKey(trace.RequestIDHeader)
 // counts per endpoint.
 // Deliberate 503s — append backpressure, healthz while draining — are
 // rejections, not errors: a saturated-but-healthy daemon must not read
-// as error-ridden in /stats.
+// as error-ridden in xqest_http_errors_total.
 //
 // Every request gets a request ID — the client's X-Request-ID when
 // sent, a generated one otherwise — echoed on the response and
@@ -843,11 +848,10 @@ func (s *Server) instrument(name, method string, bodyLimit int64, h http.Handler
 			case rec.status >= 400:
 				outcome = metrics.Error
 			}
-			// One clock pair per request: start and end feed the latency
-			// histogram, the per-second QPS ring and the slow log alike.
-			end := time.Now()
-			d := end.Sub(start)
-			ep.End(d, end, outcome)
+			// One clock pair per request: the latency histogram and the
+			// slow log read the same duration.
+			d := time.Since(start)
+			ep.End(d, outcome)
 			s.tracer.Finish(t, name, reqID, d, rec.status)
 		}()
 		if r.Method != method {

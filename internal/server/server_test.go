@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"xmlest"
+	"xmlest/internal/metrics"
 )
 
 const dept1 = `<department>
@@ -253,27 +254,18 @@ func TestStatsAndHealthz(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	st := decode[StatsResponse](t, mustGet(t, ts.URL+"/stats"))
-	if st.Corpus.Docs != 1 || st.Corpus.Shards != 1 || st.Corpus.Predicates == 0 {
-		t.Errorf("stats corpus = %+v", st.Corpus)
+	st := getStats(t, ts.URL)
+	if docs, shards, preds := value(t, st, "xqest_corpus_docs"), value(t, st, "xqest_shards"), value(t, st, "xqest_corpus_predicates"); docs != 1 || shards != 1 || preds == 0 {
+		t.Errorf("stats corpus: docs %v, shards %v, predicates %v", docs, shards, preds)
 	}
-	if st.SummaryBytes <= 0 {
-		t.Errorf("SummaryBytes = %d, want > 0", st.SummaryBytes)
+	if b := value(t, st, "xqest_summary_bytes"); b <= 0 {
+		t.Errorf("summary bytes = %v, want > 0", b)
 	}
-	var found bool
-	for _, ep := range st.Endpoints {
-		if ep.Name == "estimate" {
-			found = true
-			if ep.Requests != 5 {
-				t.Errorf("estimate endpoint requests = %d, want 5", ep.Requests)
-			}
-			if ep.Latency.P50 <= 0 {
-				t.Errorf("estimate p50 = %v, want > 0", ep.Latency.P50)
-			}
-		}
+	if n := value(t, st, "xqest_http_requests_total", "endpoint", "estimate"); n != 5 {
+		t.Errorf("estimate endpoint requests = %v, want 5", n)
 	}
-	if !found {
-		t.Error("no estimate endpoint in stats")
+	if p50 := st.Quantile("xqest_http_request_duration_seconds", 0.5, "endpoint", "estimate"); !(p50 > 0) {
+		t.Errorf("estimate p50 = %v, want > 0", p50)
 	}
 
 	// Draining flips healthz to 503.
@@ -320,12 +312,11 @@ func TestAppendBackpressure(t *testing.T) {
 
 	// The deliberate 503 counts as a rejection, not an error: a
 	// saturated-but-healthy daemon must not read as error-ridden.
-	for _, ep := range s.Metrics().Snapshot() {
-		if ep.Name == "append" {
-			if ep.Rejected != 1 || ep.Errors != 0 {
-				t.Errorf("append endpoint rejected=%d errors=%d, want 1 and 0", ep.Rejected, ep.Errors)
-			}
-		}
+	fams := s.Metrics().Gather()
+	rejected, _ := fams.Value("xqest_http_rejected_total", "endpoint", "append")
+	errs, _ := fams.Value("xqest_http_errors_total", "endpoint", "append")
+	if rejected != 1 || errs != 0 {
+		t.Errorf("append endpoint rejected=%v errors=%v, want 1 and 0", rejected, errs)
 	}
 }
 
@@ -486,6 +477,23 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// getStats fetches /stats and decodes its families.
+func getStats(t *testing.T, base string) metrics.Families {
+	t.Helper()
+	return decode[metrics.Families](t, mustGet(t, base+"/stats"))
+}
+
+// value reads one sample off a gather, failing the test when it is
+// absent.
+func value(t *testing.T, fams metrics.Families, sample string, labels ...string) float64 {
+	t.Helper()
+	v, ok := fams.Value(sample, labels...)
+	if !ok {
+		t.Fatalf("/stats has no sample %s%v", sample, labels)
+	}
+	return v
+}
+
 func mustGet(t *testing.T, url string) *http.Response {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -558,17 +566,8 @@ func TestStatsReportsAppendedShard(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("append status %d", resp.StatusCode)
 	}
-	r, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	var stats StatsResponse
-	if err := json.NewDecoder(r.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Corpus.Shards != 2 {
-		t.Fatalf("/stats reports %d shards after one append, want 2", stats.Corpus.Shards)
+	if n := value(t, getStats(t, ts.URL), "xqest_shards"); n != 2 {
+		t.Fatalf("/stats reports %v shards after one append, want 2", n)
 	}
 	est := postJSON(t, ts.URL+"/estimate", map[string]any{"pattern": "//department//name"})
 	est.Body.Close()

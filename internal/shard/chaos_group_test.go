@@ -223,9 +223,6 @@ func TestGroupCommitRaceStress(t *testing.T) {
 	if gc.Groups == 0 || gc.Groups > gc.Batches {
 		t.Fatalf("groups %d outside [1, %d]", gc.Groups, gc.Batches)
 	}
-	if gc.GroupSize.Count != gc.Groups || gc.GroupSize.Max == 0 {
-		t.Fatalf("group-size histogram %+v inconsistent with %d groups", gc.GroupSize, gc.Groups)
-	}
 	if gc.Fsyncs == 0 {
 		t.Fatal("no fsyncs counted under ModeAlways")
 	}

@@ -1,7 +1,7 @@
 // Prometheus collectors for the shard layer (see internal/metrics).
 // The durable store chains the WAL's own collectors and adds the
 // checkpoint/degraded surface plus the append-pipeline histograms; the
-// plain store exports serving-set shape and binding counts.
+// plain store exports its binding counts.
 
 package shard
 
@@ -10,8 +10,8 @@ import "xmlest/internal/metrics"
 // Collect exports the durable layer's families: WAL watermarks (via the
 // log's collector), checkpoint progress and failures, the degraded
 // flags, commit group sizes (whose _count and _sum are the groups and
-// batches committed), pre-commit queue wait, and the per-stage append
-// pipeline histograms.
+// batches committed), pre-commit queue wait, the per-stage append
+// pipeline histograms, and what boot-time recovery rebuilt.
 func (d *DurableStore) Collect(e *metrics.Expo) {
 	d.log.Collect(e)
 	d.stages.Collect(e)
@@ -34,15 +34,19 @@ func (d *DurableStore) Collect(e *metrics.Expo) {
 	e.HistogramSamples("xqest_group_commit_group_size", d.groupSizes)
 	e.Family("xqest_commit_queue_wait_seconds", "histogram", "Wait from append arrival to durable commit.")
 	e.HistogramSamples("xqest_commit_queue_wait_seconds", d.queueWait)
+
+	rec := d.recovery
+	e.Gauge("xqest_recovery_checkpoint_shards", "Shards boot-time recovery loaded from the manifest.", float64(rec.CheckpointShards))
+	e.Gauge("xqest_recovery_checkpoint_version", "Serving-set version of the manifest boot-time recovery loaded.", float64(rec.CheckpointVersion))
+	e.Gauge("xqest_recovery_replayed_records", "WAL records boot-time recovery replayed on top of the checkpoint.", float64(rec.ReplayedRecords))
+	e.Gauge("xqest_recovery_replayed_docs", "Documents in the WAL records boot-time recovery replayed.", float64(rec.ReplayedDocs))
+	e.Gauge("xqest_recovery_skipped_records", "WAL records boot-time recovery skipped because their documents failed to parse.", float64(rec.SkippedRecords))
 }
 
-// Collect exports the serving-set shape — shard count and set
-// version — and the number of compiled-query bindings, on demand and
-// warmed by publish.
+// Collect exports the number of compiled-query bindings, on demand and
+// warmed by publish. The serving set's shape is the daemon's to report
+// (from the same snapshot as its corpus figures).
 func (st *Store) Collect(e *metrics.Expo) {
-	set := st.Current()
-	e.Gauge("xqest_shards", "Shards in the serving set.", float64(set.Len()))
-	e.Gauge("xqest_set_version", "Serving-set version.", float64(set.version))
 	e.Counter("xqest_prepare_fanout_total", "Pattern bindings compiled against a shard set on demand.", float64(st.prepFanout.Load()))
 	e.Counter("xqest_prepare_warmed_total", "Pattern bindings compiled against a shard set before it was published.", float64(st.prepWarmed.Load()))
 }

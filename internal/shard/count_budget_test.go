@@ -1,11 +1,11 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
 
-	"xmlest/internal/exec"
 	"xmlest/internal/pattern"
 )
 
@@ -27,7 +27,7 @@ func TestCountBudgetMatchesCount(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Count(%s): %v", src, err)
 		}
-		got, err := set.CountBudget(p, defaultOpts, time.Time{})
+		got, err := set.CountBudget(p, time.Time{})
 		if err != nil {
 			t.Fatalf("CountBudget(%s): %v", src, err)
 		}
@@ -48,7 +48,7 @@ func TestCountBudgetSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := set.CountBudget(p, defaultOpts, time.Time{})
+	got, err := set.CountBudget(p, time.Time{})
 	if err != nil {
 		t.Fatalf("CountBudget: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestCountBudgetSummaryOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = loaded.CountBudget(pattern.MustParse("//department//faculty"), defaultOpts, time.Time{})
+	_, err = loaded.CountBudget(pattern.MustParse("//department//faculty"), time.Time{})
 	if !errors.Is(err, ErrSummaryOnly) {
 		t.Errorf("summary-only CountBudget err = %v, want ErrSummaryOnly", err)
 	}
@@ -82,15 +82,18 @@ func TestCountBudgetSummaryOnly(t *testing.T) {
 }
 
 func TestCountBudgetExpiredDeadline(t *testing.T) {
-	// Enough faculty tuples to cross the executor's deadline-check
-	// stride before the scan drains.
+	// The deadline is checked before each shard: an expired one aborts
+	// before the first count, with an error the accuracy monitor
+	// classifies as a blown budget.
 	st := NewStore(allTagsSpec())
-	if _, err := st.AppendTree(doc(3000, 1)); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := st.AppendTree(doc(30, 1)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	p := pattern.MustParse("//department//faculty//TA")
-	_, err := st.Current().CountBudget(p, defaultOpts, time.Now().Add(-time.Second))
-	if !errors.Is(err, exec.ErrDeadline) {
-		t.Errorf("expired deadline err = %v, want exec.ErrDeadline", err)
+	_, err := st.Current().CountBudget(p, time.Now().Add(-time.Second))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("expired deadline err = %v, want context.DeadlineExceeded", err)
 	}
 }

@@ -74,68 +74,60 @@ func (e *DegradedError) Unwrap() error { return e.Err }
 type RecoveryInfo struct {
 	// CheckpointShards counts shards loaded from the manifest;
 	// CheckpointVersion is the manifest's pinned version.
-	CheckpointShards  int    `json:"checkpoint_shards"`
-	CheckpointVersion uint64 `json:"checkpoint_version"`
+	CheckpointShards  int
+	CheckpointVersion uint64
 	// ReplayedRecords and ReplayedDocs count the WAL tail replayed on
 	// top of the checkpoint.
-	ReplayedRecords int `json:"replayed_records"`
-	ReplayedDocs    int `json:"replayed_docs"`
+	ReplayedRecords int
+	ReplayedDocs    int
 	// SkippedRecords counts CRC-valid records whose documents failed to
 	// parse — batches the original process rejected before
 	// acknowledging, skipped identically here.
-	SkippedRecords int `json:"skipped_records"`
+	SkippedRecords int
 }
 
-// DurabilityStats is the durable layer's introspection surface (the
-// daemon's /stats "durability" section).
+// DurabilityStats is the durable layer's state as a Go value, for
+// embedders and tests; the daemon reports the same numbers through
+// Collect.
 type DurabilityStats struct {
-	Dir   string `json:"dir"`
-	Fsync string `json:"fsync"`
+	Dir   string
+	Fsync string
 	// WALSegments/WALBytes size the live log; LastSeq is the newest
 	// appended record and DurableSeq the newest known fsynced.
-	WALSegments int    `json:"wal_segments"`
-	WALBytes    int64  `json:"wal_bytes"`
-	LastSeq     uint64 `json:"last_seq"`
-	DurableSeq  uint64 `json:"durable_seq"`
+	WALSegments int
+	WALBytes    int64
+	LastSeq     uint64
+	DurableSeq  uint64
 	// CheckpointVersion/CheckpointWALSeq describe the newest manifest;
 	// Checkpoints counts checkpoints taken by this process.
-	CheckpointVersion uint64 `json:"checkpoint_version"`
-	CheckpointWALSeq  uint64 `json:"checkpoint_wal_seq"`
-	Checkpoints       uint64 `json:"checkpoints"`
+	CheckpointVersion uint64
+	CheckpointWALSeq  uint64
+	Checkpoints       uint64
 	// CheckpointFailures counts checkpoint attempts that failed; the
 	// checkpoint loop retries with backoff, so a transient disk error
 	// shows up here without degrading appends.
-	CheckpointFailures uint64 `json:"checkpoint_failures,omitempty"`
+	CheckpointFailures uint64
 	// Degraded reports a failed storage component: DegradedComponent is
 	// "wal" (log sealed; appends refused until restart) or "checkpoint"
 	// (last checkpoint failed; clears on the next success), with
 	// DegradedReason the underlying error. Reads serve normally.
-	Degraded          bool   `json:"degraded,omitempty"`
-	DegradedComponent string `json:"degraded_component,omitempty"`
-	DegradedReason    string `json:"degraded_reason,omitempty"`
-	// GroupCommit is the write-path observability section.
-	GroupCommit GroupCommitStats `json:"group_commit"`
+	Degraded          bool
+	DegradedComponent string
+	DegradedReason    string
+	// GroupCommit counts the write path's commit groups.
+	GroupCommit GroupCommitStats
 	// Recovery echoes the boot-time replay.
-	Recovery RecoveryInfo `json:"recovery"`
+	Recovery RecoveryInfo
 }
 
-// GroupCommitStats digests the group-commit write path: how well
-// concurrent appends amortize fsyncs, and how long batches wait before
-// their group commits.
+// GroupCommitStats counts how well concurrent appends amortize
+// fsyncs: Groups commit groups holding Batches appends in all
+// (Batches/Groups is the mean group size), and Fsyncs data fsyncs
+// since open.
 type GroupCommitStats struct {
-	// Groups counts committed groups; Batches counts the appends across
-	// them — Batches/Groups is the lifetime mean group size.
-	Groups  uint64 `json:"groups"`
-	Batches uint64 `json:"batches"`
-	// GroupSize digests per-group batch counts (p50/p95/max).
-	GroupSize metrics.Summary `json:"group_size"`
-	// Fsyncs counts data fsyncs since open; FsyncsPerSec is the
-	// lifetime rate.
-	Fsyncs       uint64  `json:"fsyncs"`
-	FsyncsPerSec float64 `json:"fsyncs_per_sec"`
-	// QueueWait digests the time batches spend between arrival and
-	// their group's commit — the latency cost of grouping — in seconds.
-	QueueWait metrics.Summary `json:"queue_wait"`
+	Groups  uint64
+	Batches uint64
+	Fsyncs  uint64
 }
 
 // DurableStore wraps a Store with LSM-style durability: every append
@@ -178,7 +170,7 @@ type DurableStore struct {
 	// and goes to one of two long-lived build goroutines, so at most two
 	// build at once. A finished build joins the ready list,
 	// and whoever next holds the store's write lock commits the whole
-	// list with one WAL group write. The histograms feed /stats; the
+	// list with one WAL group write. The histograms feed Collect; the
 	// group-size histogram is also the group and batch count.
 	ingestQ       chan *ingestReq
 	groups        chan []*ingestReq // formed groups, to the build goroutines
@@ -192,7 +184,6 @@ type DurableStore struct {
 	ready         []*submission // built, waiting for a commit
 	groupSizes    *metrics.Histogram
 	queueWait     *metrics.Histogram
-	openedAt      time.Time
 
 	// stages records per-stage durations of the append pipeline (queue
 	// wait, coalesce wait, parse, build, WAL submit, fsync, install).
@@ -386,7 +377,6 @@ func OpenDurable(dir string, bootstrap func() (*Store, error), cfg DurableConfig
 	d.queueWait = metrics.NewHistogram(metrics.LatencyBounds)
 	d.stages = trace.NewRecorder("xqest_append_stage_seconds",
 		"Append pipeline stage durations.", trace.AppendStages...)
-	d.openedAt = time.Now()
 	// The coalescer starts only after recovery: replay installs shards
 	// directly and must not race group commits.
 	go d.ingestLoop()
@@ -958,14 +948,9 @@ func (d *DurableStore) Stats() DurabilityStats {
 	}
 	comp, reason, degraded := d.Degraded()
 	gc := GroupCommitStats{
-		Groups:    d.groupSizes.Count(),
-		Batches:   uint64(d.groupSizes.Sum()),
-		GroupSize: d.groupSizes.Summary(),
-		Fsyncs:    d.log.Fsyncs(),
-		QueueWait: d.queueWait.Summary(),
-	}
-	if up := time.Since(d.openedAt).Seconds(); up > 0 {
-		gc.FsyncsPerSec = float64(gc.Fsyncs) / up
+		Groups:  d.groupSizes.Count(),
+		Batches: uint64(d.groupSizes.Sum()),
+		Fsyncs:  d.log.Fsyncs(),
 	}
 	return DurabilityStats{
 		Dir:                d.dir,

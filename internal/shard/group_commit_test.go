@@ -93,7 +93,7 @@ func TestReadyListCommitsAsOneGroup(t *testing.T) {
 		t.Fatalf("versions %d and %d, want consecutive", ra.sh.installedAt, rb.sh.installedAt)
 	}
 	gc := d.Stats().GroupCommit
-	if gc.Groups != 1 || gc.Batches != 2 || gc.GroupSize.Max != 2 {
+	if gc.Groups != 1 || gc.Batches != 2 {
 		t.Fatalf("group commit stats %+v, want one group of 2 batches", gc)
 	}
 }
@@ -129,7 +129,7 @@ func TestFailedGroupFsyncRefusesWholeGroup(t *testing.T) {
 		t.Fatalf("version moved %d -> %d on a refused group", version, got)
 	}
 	gc := d.Stats().GroupCommit
-	if gc.Groups != 1 || gc.GroupSize.Max != 2 {
+	if gc.Groups != 1 || gc.Batches != 2 {
 		t.Fatalf("group commit stats %+v, want one group of 2 batches", gc)
 	}
 	if _, _, err := d.AppendDocs(batchDocs(2)); err == nil {

@@ -21,6 +21,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -30,10 +31,8 @@ import (
 	"time"
 
 	"xmlest/internal/core"
-	"xmlest/internal/exec"
 	"xmlest/internal/match"
 	"xmlest/internal/pattern"
-	"xmlest/internal/planner"
 	"xmlest/internal/predicate"
 	"xmlest/internal/xmltree"
 )
@@ -312,37 +311,19 @@ func forEachParallel(n int, fn func(i int)) {
 // contributes zero matches, but a predicate unknown to every shard is
 // an error (the monolithic "unknown predicate" behaviour).
 func (s *Set) Count(p *pattern.Pattern) (float64, error) {
-	return s.sumCounts(p, func(sh *Shard) (float64, error) {
-		return match.CountTwig(sh.tree, p, func(name string) ([]xmltree.NodeID, error) {
-			e, err := sh.cat.Get(name)
-			if err != nil {
-				return nil, err
-			}
-			return e.Nodes, nil
-		})
-	})
+	return s.CountBudget(p, time.Time{})
 }
 
 // CountBudget is Count with a wall-clock budget, built for shadow
-// execution of sampled live queries. Each tree-backed shard's count
-// runs through the Volcano executor under the deadline instead of the
-// structural-join matcher, and the join order comes from the shard's
-// own summary via the planner — the paper's loop: the estimates under
-// scrutiny pick the order of their own verification. A summary-only
-// shard aborts with ErrSummaryOnly (the pattern is unverifiable, not
-// wrong); a blown deadline aborts with exec.ErrDeadline.
-func (s *Set) CountBudget(p *pattern.Pattern, opts core.Options, deadline time.Time) (float64, error) {
-	return s.sumCounts(p, func(sh *Shard) (float64, error) {
-		return sh.countBudget(p, opts, deadline)
-	})
-}
-
-// sumCounts is the exact-count loop behind Count and CountBudget: it
-// sums count over the shards that hold every predicate of p, in shard
-// order. Summary-only shards are checked before predicate resolution:
-// they carry no catalog, so resolving against them would misreport the
-// problem as a missing predicate.
-func (s *Set) sumCounts(p *pattern.Pattern, count func(*Shard) (float64, error)) (float64, error) {
+// execution of sampled live queries: the deadline is checked before
+// each shard's count, so a count overshoots its budget by at most one
+// shard's structural join, and a blown budget aborts with an error
+// wrapping context.DeadlineExceeded. The zero deadline disables the
+// check. A summary-only shard aborts with ErrSummaryOnly (the pattern
+// is unverifiable, not wrong). Summary-only shards are checked before
+// predicate resolution: they carry no catalog, so resolving against
+// them would misreport the problem as a missing predicate.
+func (s *Set) CountBudget(p *pattern.Pattern, deadline time.Time) (float64, error) {
 	for _, sh := range s.shards {
 		if sh.SummaryOnly() {
 			return 0, fmt.Errorf("shard: exact counting requires document-backed shards (shard %d is summary-only): %w", sh.id, ErrSummaryOnly)
@@ -363,61 +344,28 @@ func (s *Set) sumCounts(p *pattern.Pattern, count func(*Shard) (float64, error))
 	}
 	var total float64
 shards:
-	for _, sh := range s.shards {
+	for i, sh := range s.shards {
 		for _, name := range names {
 			if !sh.cat.Has(name) {
 				continue shards
 			}
 		}
-		n, err := count(sh)
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return 0, fmt.Errorf("shard: count budget exhausted after %d of %d shards: %w", i, len(s.shards), context.DeadlineExceeded)
+		}
+		n, err := match.CountTwig(sh.tree, p, func(name string) ([]xmltree.NodeID, error) {
+			e, err := sh.cat.Get(name)
+			if err != nil {
+				return nil, err
+			}
+			return e.Nodes, nil
+		})
 		if err != nil {
 			return 0, err
 		}
 		total += n
 	}
 	return total, nil
-}
-
-// countBudget counts one tree-backed shard's matches under the
-// deadline. Single-node patterns are just the predicate list length;
-// larger patterns execute a planner-chosen join order, falling back to
-// pattern pre-order (always connected) when planning is unavailable
-// (no summary for the options, or more nodes than the planner
-// enumerates).
-func (sh *Shard) countBudget(p *pattern.Pattern, opts core.Options, deadline time.Time) (float64, error) {
-	resolve := func(name string) ([]xmltree.NodeID, error) {
-		e, err := sh.cat.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		return e.Nodes, nil
-	}
-	nodes := p.Nodes()
-	if len(nodes) == 1 {
-		list, err := resolve(nodes[0].PredName())
-		if err != nil {
-			return 0, err
-		}
-		return float64(len(list)), nil
-	}
-	var plan *planner.Plan
-	if est, err := sh.Summary(opts); err == nil {
-		if best, err := planner.Best(est, p); err == nil {
-			plan = best
-		}
-	}
-	if plan == nil {
-		steps := make([]*planner.Step, len(nodes))
-		for i, n := range nodes {
-			steps[i] = &planner.Step{Added: n}
-		}
-		plan = &planner.Plan{Steps: steps}
-	}
-	stats, err := exec.ExecuteDeadline(sh.tree, p, plan, resolve, deadline)
-	if err != nil {
-		return 0, err
-	}
-	return float64(stats.Results), nil
 }
 
 // StorageBytes sums the compact-encoding size of every shard's summary

@@ -67,7 +67,7 @@ func exposition(t *testing.T, r *Recorder) string {
 	reg := metrics.NewRegistry()
 	reg.Register(r)
 	var buf bytes.Buffer
-	if err := reg.WriteExposition(&buf); err != nil {
+	if err := reg.Gather().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()

@@ -18,10 +18,10 @@ func TestLiveRegistryLintsClean(t *testing.T) {
 		ep := r.Endpoint(name)
 		for i := 0; i < 5; i++ {
 			ep.Begin()
-			ep.End(time.Duration(i+1)*time.Millisecond, time.Now(), metrics.OK)
+			ep.End(time.Duration(i+1)*time.Millisecond, metrics.OK)
 		}
 		ep.Begin()
-		ep.End(time.Millisecond, time.Now(), metrics.Error)
+		ep.End(time.Millisecond, metrics.Error)
 	}
 	stages := metrics.NewHistogram(metrics.LatencyBounds)
 	for i := 0; i < 7; i++ {
@@ -39,7 +39,7 @@ func TestLiveRegistryLintsClean(t *testing.T) {
 	r.Register(ps)
 
 	var buf bytes.Buffer
-	if err := r.WriteExposition(&buf); err != nil {
+	if err := r.Gather().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if problems := lint(&buf); len(problems) > 0 {
@@ -55,7 +55,7 @@ func TestFreshRegistryLintsClean(t *testing.T) {
 	r := metrics.NewRegistry()
 	r.Register(metrics.NewPatternStats(0))
 	var buf bytes.Buffer
-	if err := r.WriteExposition(&buf); err != nil {
+	if err := r.Gather().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if problems := lint(&buf); len(problems) > 0 {

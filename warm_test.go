@@ -3,7 +3,6 @@ package xmlest
 import (
 	"bytes"
 	"math"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,33 +13,17 @@ import (
 	"xmlest/internal/wal"
 )
 
-// prepareCounts reads a store's binding counters off its metrics
-// exposition: bindings compiled on a reader's demand
-// (xqest_prepare_fanout_total) and by publish before a set became
-// visible (xqest_prepare_warmed_total).
+// prepareCounts reads a store's binding counters off its gather:
+// bindings compiled on a reader's demand (xqest_prepare_fanout_total)
+// and by publish before a set became visible
+// (xqest_prepare_warmed_total).
 func prepareCounts(t *testing.T, st *shard.Store) (fanout, warmed float64) {
 	t.Helper()
-	var buf bytes.Buffer
-	e := metrics.NewExpo(&buf)
-	st.Collect(e)
-	if err := e.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(buf.String(), "\n") {
-		f := strings.Fields(line)
-		if len(f) != 2 {
-			continue
-		}
-		v, err := strconv.ParseFloat(f[1], 64)
-		if err != nil {
-			continue
-		}
-		switch f[0] {
-		case "xqest_prepare_fanout_total":
-			fanout = v
-		case "xqest_prepare_warmed_total":
-			warmed = v
-		}
+	fams := metrics.Gather(st)
+	fanout, ok1 := fams.Value("xqest_prepare_fanout_total")
+	warmed, ok2 := fams.Value("xqest_prepare_warmed_total")
+	if !ok1 || !ok2 {
+		t.Fatal("store gather lacks the prepare counters")
 	}
 	return fanout, warmed
 }

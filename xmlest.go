@@ -323,7 +323,8 @@ func (db *Database) Shards() []ShardInfo {
 func (db *Database) ShardCount() int { return db.store.Current().Len() }
 
 // DatabaseStats describes the serving corpus at one snapshot — the
-// cheap introspection the daemon's /stats endpoint reports. It is
+// cheap introspection behind the daemon's corpus families
+// (xqest_corpus_docs and the rest). It is
 // computed from shard metadata only: no merged view is materialized.
 type DatabaseStats struct {
 	// Version is the snapshot's version (see Database.Version).
@@ -345,7 +346,7 @@ func (db *Database) Stats() DatabaseStats { return statsOf(db.store.Current()) }
 
 // statsOf aggregates one shard set's statistics — the single source
 // both Database.Stats and Estimator.Stats (and through it the daemon's
-// /stats endpoint) report from.
+// corpus families) report from.
 func statsOf(set *shard.Set) DatabaseStats {
 	s := DatabaseStats{
 		Version: set.Version(),
@@ -687,8 +688,8 @@ func (e *Estimator) EstimateBatchInto(patterns []string, dst []Result) (version 
 // estimator's serving (or pinned) set within a wall-clock budget — the
 // shadow-execution entry point of the online accuracy monitor. Call on
 // a Snapshot so the count reflects the same shard set the estimate
-// came from. Errors classify through errors.Is: exec.ErrDeadline
-// (which wraps context.DeadlineExceeded) for a blown budget, and
+// came from. Errors classify through errors.Is:
+// context.DeadlineExceeded for a blown budget, and
 // accuracy.ErrUnverifiable when the set holds summary-only shards (no
 // documents to verify against). The zero deadline disables the budget.
 func (e *Estimator) ShadowCount(patternSrc string, deadline time.Time) (float64, error) {
@@ -696,7 +697,7 @@ func (e *Estimator) ShadowCount(patternSrc string, deadline time.Time) (float64,
 	if err != nil {
 		return 0, err
 	}
-	n, err := e.set().CountBudget(p, e.opts, deadline)
+	n, err := e.set().CountBudget(p, deadline)
 	if errors.Is(err, shard.ErrSummaryOnly) {
 		return 0, fmt.Errorf("%w: %w", accuracy.ErrUnverifiable, err)
 	}
