@@ -8,9 +8,7 @@
 package xmlest_test
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"testing"
 
 	"xmlest"
@@ -23,7 +21,6 @@ import (
 	"xmlest/internal/match"
 	"xmlest/internal/pattern"
 	"xmlest/internal/planner"
-	"xmlest/internal/stream"
 	"xmlest/internal/xmltree"
 )
 
@@ -526,39 +523,6 @@ func BenchmarkErrorProfileWorkload(b *testing.B) {
 			}
 		}
 	}
-}
-
-// BenchmarkStreamIngest times the two-pass streaming histogram build on
-// serialized XML — the bounded-memory ingest path.
-func BenchmarkStreamIngest(b *testing.B) {
-	b.ReportAllocs()
-	tree := datagen.GenerateDBLP(datagen.DBLPConfig{Seed: 1, Scale: 0.02})
-	var buf bytesBuffer
-	if err := xmltree.WriteXML(&buf, tree, tree.Root()); err != nil {
-		b.Fatal(err)
-	}
-	doc := buf.data
-	src := func() (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(doc)), nil
-	}
-	preds := []stream.EventPredicate{
-		stream.TagPred{Tag: "article"},
-		stream.TagPred{Tag: "author"},
-	}
-	b.SetBytes(int64(len(doc)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := stream.Build(src, 10, preds); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type bytesBuffer struct{ data []byte }
-
-func (w *bytesBuffer) Write(p []byte) (int, error) {
-	w.data = append(w.data, p...)
-	return len(p), nil
 }
 
 // BenchmarkFacadeEstimate times the public-API path end to end on a

@@ -89,12 +89,9 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "built-in dataset scale")
 	seed := flag.Int64("seed", 2002, "built-in dataset seed")
 	grid := flag.Int("grid", 10, "histogram grid size g (gxg buckets)")
-	workers := flag.Int("build-workers", 0, "summary build workers (0 = GOMAXPROCS)")
 	load := flag.String("load", "", "serve read-only from a saved XQS2 summary instead of data")
 	save := flag.String("save", "", "persist the summary snapshot here on shutdown")
 	autocompact := flag.Duration("autocompact", 0, "background compaction interval (0 disables)")
-	maxShards := flag.Int("max-shards", 0, "compaction policy shard-count target (0 = default)")
-	maxAppends := flag.Int("max-inflight-appends", 0, "ingest backpressure bound (0 = default)")
 	drain := flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown drain budget")
 	dataDir := flag.String("data-dir", "", "durable data directory: WAL + checkpoints; appends survive crashes")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval or off")
@@ -138,15 +135,10 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Addr: *addr,
-		Options: xmlest.Options{
-			GridSize:     *grid,
-			BuildWorkers: *workers,
-		},
-		MaxInflightAppends:  *maxAppends,
+		Addr:                *addr,
+		Options:             xmlest.Options{GridSize: *grid},
 		AutoCompactInterval: *autocompact,
 		CheckpointInterval:  *checkpoint,
-		CompactionPolicy:    xmlest.CompactionPolicy{MaxShards: *maxShards},
 		SnapshotPath:        *save,
 		ReadTimeout:         *readTimeout,
 		WriteTimeout:        *writeTimeout,

@@ -1,11 +1,13 @@
 package xmlest
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"xmlest/internal/shard"
 	"xmlest/internal/xmltree"
 )
 
@@ -125,6 +127,67 @@ func TestOpenDurableRecoveryBitIdentical(t *testing.T) {
 	for i := range ref {
 		if math.Float64bits(got3[i]) != math.Float64bits(ref[i]) {
 			t.Fatalf("checkpoint-loaded estimate %q: %v != control %v", facadePatterns[i], got3[i], ref[i])
+		}
+	}
+
+	// Every checkpointed shard recovers summary-only: it estimates but
+	// holds no documents, so exact counting refuses it and compaction
+	// leaves it alone.
+	recovered := db3.Shards()
+	for _, sh := range recovered {
+		if !sh.SummaryOnly {
+			t.Fatalf("checkpoint-loaded shard %+v is not summary-only", sh)
+		}
+	}
+	if _, err := db3.Count(facadePatterns[0]); !errors.Is(err, shard.ErrSummaryOnly) {
+		t.Fatalf("Count over summary-only shards: err = %v, want ErrSummaryOnly", err)
+	}
+	policy := CompactionPolicy{MinMerge: 2, MaxShards: 1}
+	if merged, err := db3.Compact(policy); err != nil || merged != 0 {
+		t.Fatalf("compacting only summary-only shards: merged %d, err %v", merged, err)
+	}
+
+	// Documents appended after recovery join the summary-only shards'
+	// estimates exactly as they join the never-crashed control's.
+	for i := batches; i < batches+2; i++ {
+		info, err := db3.Append(strings.NewReader(facadeDoc(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.SummaryOnly || info.WALSeq == 0 {
+			t.Fatalf("post-recovery append %+v: want a WAL-logged, document-backed shard", info)
+		}
+		if _, err := control.Append(strings.NewReader(facadeDoc(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref = estimateFacade(t, control)
+	got4 := estimateFacade(t, db3)
+	for i := range ref {
+		if math.Float64bits(got4[i]) != math.Float64bits(ref[i]) {
+			t.Fatalf("estimate %q over summary-only and live shards: %v != control %v", facadePatterns[i], got4[i], ref[i])
+		}
+		if got4[i] == got3[i] {
+			t.Fatalf("estimate %q did not move after the appends: %v", facadePatterns[i], got4[i])
+		}
+	}
+
+	// Compaction merges the two document-backed shards and keeps every
+	// summary-only shard as it was.
+	if merged, err := db3.Compact(policy); err != nil || merged == 0 {
+		t.Fatalf("compacting the appended shards: merged %d, err %v", merged, err)
+	}
+	after := db3.Shards()
+	if len(after) != len(recovered)+1 {
+		t.Fatalf("after compaction %d shards, want the %d summary-only ones plus one merged shard", len(after), len(recovered))
+	}
+	kept := make(map[uint64]bool, len(after))
+	for _, sh := range after {
+		kept[sh.ID] = sh.SummaryOnly
+	}
+	for _, sh := range recovered {
+		if !kept[sh.ID] {
+			t.Fatalf("compaction touched summary-only shard %d", sh.ID)
 		}
 	}
 }

@@ -40,7 +40,7 @@ type DurableFlags struct {
 // flags (-data/-dataset) bootstrap a fresh directory and define the
 // predicate vocabulary on every boot; when both are empty the daemon
 // starts empty with the all-tags vocabulary and grows by ingest alone.
-// opts are the estimator options (-grid/-build-workers); the grid size
+// opts are the estimator options (-grid); the grid size
 // must match the directory's manifest on recovered boots.
 func OpenDurableDatabase(dataDir string, opts xmlest.Options, f DurableFlags) (*xmlest.Database, error) {
 	var bootstrap func() (*xmlest.Database, error)

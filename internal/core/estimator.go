@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -237,50 +236,6 @@ func buildEstimator(cat *predicate.Catalog, grid histogram.Grid, opts Options) (
 		if opts.LevelHistograms {
 			e.levels[name] = r.levels
 		}
-	}
-	return e, nil
-}
-
-// NewEstimatorFromHistograms wraps externally built summaries — for
-// example the output of a streaming ingest pass — into a fully
-// functional estimator. trueHist is the TRUE histogram; hists maps
-// predicate names to their position histograms (all on trueHist's
-// grid); overlap reports, per name, whether the predicate may overlap
-// (false = the no-overlap property holds). Coverage histograms are not
-// supplied, so no-overlap predicates estimate through the primitive
-// algorithm until a coverage-carrying summary replaces the shard.
-//
-// The estimator has no catalog or tree attached, like one loaded from a
-// summary blob. Predicate names are stored in sorted order for
-// deterministic serialization.
-func NewEstimatorFromHistograms(trueHist *histogram.Position, hists map[string]*histogram.Position, overlap map[string]bool) (*Estimator, error) {
-	if trueHist == nil {
-		return nil, fmt.Errorf("core: nil TRUE histogram")
-	}
-	grid := trueHist.Grid()
-	e := &Estimator{
-		grid:     grid,
-		trueHist: trueHist,
-		hists:    make(map[string]*histogram.Position, len(hists)),
-		covs:     make(map[string]*histogram.Coverage),
-		overlap:  make(map[string]bool, len(hists)),
-	}
-	names := make([]string, 0, len(hists))
-	for name := range hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := hists[name]
-		if h == nil {
-			return nil, fmt.Errorf("core: nil histogram for predicate %q", name)
-		}
-		if !h.Grid().Equal(grid) {
-			return nil, fmt.Errorf("core: predicate %q grid differs from TRUE grid", name)
-		}
-		e.hists[name] = h
-		e.overlap[name] = overlap[name]
-		e.names = append(e.names, name)
 	}
 	return e, nil
 }

@@ -43,9 +43,13 @@ func fuzzSeedSummaries(f *testing.F) [][]byte {
 	grid := histogram.MustUniformGrid(3, 30)
 	trueHist := histogram.NewPosition(grid, []histogram.Cell{{I: 0, J: 2, Count: 10}})
 	frac := histogram.NewPosition(grid, []histogram.Cell{{I: 0, J: 1, Count: 0.375}, {I: 1, J: 2, Count: 2.5}})
-	est, err := NewEstimatorFromHistograms(trueHist, map[string]*histogram.Position{"frac": frac}, map[string]bool{"frac": true})
-	if err != nil {
-		f.Fatal(err)
+	est := &Estimator{
+		grid:     grid,
+		trueHist: trueHist,
+		names:    []string{"frac"},
+		hists:    map[string]*histogram.Position{"frac": frac},
+		covs:     map[string]*histogram.Coverage{},
+		overlap:  map[string]bool{"frac": true},
 	}
 	fb, err := est.MarshalBinary()
 	if err != nil {

@@ -33,10 +33,10 @@ type MergedPredicateMixed = map[string]bool
 
 // MergeSummaries folds per-shard summaries into one estimator on the
 // concatenated grid. Parts must be non-nil; summaries with level
-// histograms cannot be folded (the parent-child refinement is not
-// carried by NewEstimatorFromHistograms-style estimators) and return an
-// error. The second result reports predicates with mixed per-shard
-// no-overlap/coverage state (see MergedPredicateMixed).
+// histograms cannot be folded (the folded estimator carries no
+// parent-child refinement) and return an error. The second result
+// reports predicates with mixed per-shard no-overlap/coverage state
+// (see MergedPredicateMixed).
 func MergeSummaries(parts []*Estimator) (*Estimator, MergedPredicateMixed, error) {
 	if len(parts) == 0 {
 		return nil, nil, fmt.Errorf("core: MergeSummaries with no summaries")

@@ -159,12 +159,6 @@ func (g Grid) Bucket(pos int) int {
 func (g Grid) Lo(i int) int { return g.bounds[i] }
 func (g Grid) Hi(i int) int { return g.bounds[i+1] }
 
-// OnDiagonal reports whether grid cell (i, j) is on-diagonal per the
-// paper's Definition 1: the start-position interval and end-position
-// interval intersect. Buckets partition the axis, so this is exactly
-// i == j.
-func (g Grid) OnDiagonal(i, j int) bool { return i == j }
-
 // Equal reports whether two grids have identical boundaries. Join
 // estimation requires both operand histograms to share a grid.
 func (g Grid) Equal(h Grid) bool {

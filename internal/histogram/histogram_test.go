@@ -1,6 +1,7 @@
 package histogram
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,9 +24,6 @@ func TestUniformGrid(t *testing.T) {
 		if pos < g.Lo(b) || pos >= g.Hi(b) {
 			t.Fatalf("pos %d mapped to bucket %d [%d,%d)", pos, b, g.Lo(b), g.Hi(b))
 		}
-	}
-	if !g.OnDiagonal(3, 3) || g.OnDiagonal(3, 4) {
-		t.Errorf("OnDiagonal wrong")
 	}
 }
 
@@ -129,6 +127,23 @@ func TestUpperTriangleOnly(t *testing.T) {
 	}
 }
 
+// checkLemma1 verifies Lemma 1 on a built histogram: no two non-zero
+// cells a and b may satisfy a.I < b.I < a.J < b.J, for a node starting
+// strictly inside another node's span but ending beyond it would
+// partially overlap it. Estimated histograms need not satisfy the
+// lemma; built ones must. It compares every pair of non-zero cells,
+// O(nnz²), and returns an error naming the first violation.
+func checkLemma1(h *Position) error {
+	for _, a := range h.cells {
+		for _, b := range h.cells {
+			if a.I < b.I && b.I < a.J && a.J < b.J {
+				return fmt.Errorf("histogram: lemma 1 violated: (%d,%d) and (%d,%d) both non-zero", a.I, a.J, b.I, b.J)
+			}
+		}
+	}
+	return nil
+}
+
 func TestCheckLemma1OnBuiltHistograms(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -139,12 +154,12 @@ func TestCheckLemma1OnBuiltHistograms(t *testing.T) {
 		}
 		for _, tag := range tr.Tags() {
 			h := BuildPosition(tr, tr.NodesWithTag(tag), grid)
-			if err := h.CheckLemma1(); err != nil {
+			if err := checkLemma1(h); err != nil {
 				t.Logf("tag %s: %v", tag, err)
 				return false
 			}
 		}
-		if err := BuildTrue(tr, grid).CheckLemma1(); err != nil {
+		if err := checkLemma1(BuildTrue(tr, grid)); err != nil {
 			t.Logf("TRUE: %v", err)
 			return false
 		}
@@ -176,9 +191,9 @@ func TestCheckLemma1Table(t *testing.T) {
 		{"(0,3) has a partner ending beyond it", []Cell{{0, 3, 1}, {2, 5, 1}, {5, 5, 1}}, false},
 		{"(3,5) has a partner starting before it", []Cell{{0, 0, 1}, {1, 4, 1}, {3, 5, 1}}, false},
 	} {
-		err := NewPosition(grid, tc.cells).CheckLemma1()
+		err := checkLemma1(NewPosition(grid, tc.cells))
 		if (err == nil) != tc.ok {
-			t.Errorf("%s: CheckLemma1 = %v, want ok=%v", tc.name, err, tc.ok)
+			t.Errorf("%s: checkLemma1 = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }

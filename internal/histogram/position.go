@@ -258,23 +258,6 @@ func (h *Position) EachNonZero(fn func(i, j int, count float64)) {
 	}
 }
 
-// CheckLemma1 verifies Lemma 1 on a built histogram: no two non-zero
-// cells a and b may satisfy a.I < b.I < a.J < b.J, for a node starting
-// strictly inside another node's span but ending beyond it would
-// partially overlap it. Estimated histograms need not satisfy the
-// lemma; built ones must. It compares every pair of non-zero cells,
-// O(nnz²), and returns an error naming the first violation.
-func (h *Position) CheckLemma1() error {
-	for _, a := range h.cells {
-		for _, b := range h.cells {
-			if a.I < b.I && b.I < a.J && a.J < b.J {
-				return fmt.Errorf("histogram: lemma 1 violated: (%d,%d) and (%d,%d) both non-zero", a.I, a.J, b.I, b.J)
-			}
-		}
-	}
-	return nil
-}
-
 // validateJoinOperands checks that two histograms share a grid.
 func validateJoinOperands(a, b *Position) error {
 	if !a.grid.Equal(b.grid) {

@@ -3,7 +3,6 @@ package predicate
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -317,13 +316,4 @@ func noOverlap(t *xmltree.Tree, nodes []xmltree.NodeID) bool {
 		stack = append(stack, n.End)
 	}
 	return true
-}
-
-// Sorted checks that a node list is sorted by start position; catalogs
-// produce sorted lists by construction, and downstream algorithms
-// (exact matching, histogram building) rely on it.
-func Sorted(t *xmltree.Tree, nodes []xmltree.NodeID) bool {
-	return sort.SliceIsSorted(nodes, func(i, j int) bool {
-		return t.Node(nodes[i]).Start < t.Node(nodes[j]).Start
-	})
 }

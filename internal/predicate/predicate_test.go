@@ -2,6 +2,7 @@ package predicate
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -196,13 +197,22 @@ func TestCatalogAddAllTags(t *testing.T) {
 	}
 }
 
+// sorted checks that a node list is sorted by start position; catalogs
+// produce sorted lists by construction, and downstream algorithms
+// (exact matching, histogram building) rely on it.
+func sorted(t *xmltree.Tree, nodes []xmltree.NodeID) bool {
+	return sort.SliceIsSorted(nodes, func(i, j int) bool {
+		return t.Node(nodes[i]).Start < t.Node(nodes[j]).Start
+	})
+}
+
 func TestEntriesSorted(t *testing.T) {
 	tr := xmltree.Fig1Document()
 	c := NewCatalog(tr)
 	c.AddAllTags()
 	for _, name := range c.Names() {
 		e := c.MustGet(name)
-		if !Sorted(tr, e.Nodes) {
+		if !sorted(tr, e.Nodes) {
 			t.Errorf("entry %s not sorted by start", name)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -64,11 +63,6 @@ type AppendResponse struct {
 	Version uint64 `json:"version"`
 	WALSeq  uint64 `json:"wal_seq,omitempty"`
 	Durable *bool  `json:"durable,omitempty"`
-	// Streamed marks a summary-only shard built by /append-stream: the
-	// raw document was never retained, so the shard cannot seed future
-	// predicate rebuilds, and on durable servers its ack is a
-	// checkpoint rather than a WAL record (WALSeq is 0).
-	Streamed bool `json:"streamed,omitempty"`
 }
 
 // AppendRequest is the JSON ingest form: each document is one XML
@@ -483,77 +477,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		// fsync — on every ack.
 		resp.WALSeq = info.WALSeq
 		durable := s.db.DurableSeq() >= info.WALSeq
-		resp.Durable = &durable
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleAppendStream lands one large XML document as a summary-only
-// shard without ever buffering it in memory: the body is spooled to a
-// temporary file (bounded by maxStreamBytes, far above the buffered
-// path's body cap) and the streaming build scans it twice with memory
-// bounded by document depth. On a durable daemon the ack is an
-// immediate checkpoint rather than a WAL record — see
-// Database.AppendStream. Shares the append semaphore: a streamed
-// ingest is still ingest.
-func (s *Server) handleAppendStream(w http.ResponseWriter, r *http.Request) {
-	if s.db == nil {
-		writeError(w, http.StatusForbidden, "read-only server (loaded from a summary): no document store to append to")
-		return
-	}
-	if s.follower != nil {
-		writeFollowerRefusal(w, s.cfg.FollowURL, "appends")
-		return
-	}
-	select {
-	case s.appendSem <- struct{}{}:
-		defer func() { <-s.appendSem }()
-	default:
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
-			"ingest backpressure: "+strconv.Itoa(s.cfg.MaxInflightAppends)+" appends already in flight")
-		return
-	}
-
-	tmp, err := os.CreateTemp("", "xqestd-stream-*.xml")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "append-stream: spool: "+err.Error())
-		return
-	}
-	name := tmp.Name()
-	defer os.Remove(name)
-	_, err = io.Copy(tmp, r.Body)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		writeRequestError(w, "append-stream: ", err)
-		return
-	}
-	info, err := s.db.AppendStream(func() (io.ReadCloser, error) {
-		return os.Open(name)
-	}, s.est.Options().GridSize)
-	if err != nil {
-		var de *xmlest.DegradedError
-		if errors.As(err, &de) {
-			writeDegraded(w, de.Component, err.Error())
-			return
-		}
-		writeRequestError(w, "append-stream: ", err)
-		return
-	}
-	s.appendsSeen.Add(uint64(info.Docs))
-	resp := AppendResponse{
-		ShardID:  info.ID,
-		Docs:     info.Docs,
-		Nodes:    info.Nodes,
-		Version:  info.Version,
-		Streamed: true,
-	}
-	if s.db.Durable() {
-		// A streamed shard's durability proof is the checkpoint that just
-		// committed, not a WAL sequence.
-		durable := true
 		resp.Durable = &durable
 	}
 	writeJSON(w, http.StatusOK, resp)

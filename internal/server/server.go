@@ -4,12 +4,9 @@
 //
 // Endpoints:
 //
-//	POST /estimate       {"pattern": "..."} or {"patterns": ["...", ...]}
-//	POST /append         raw XML body, or {"documents": ["<a/>", ...]} (one shard)
-//	POST /append-stream  raw XML body of any size; spooled to disk and
-//	                     summarized in two streaming passes (one
-//	                     summary-only shard; all-tags vocabulary only)
-//	POST /compact        optional {"max_shards": n}
+//	POST /estimate  {"pattern": "..."} or {"patterns": ["...", ...]}
+//	POST /append    raw XML body, or {"documents": ["<a/>", ...]} (one shard)
+//	POST /compact   optional {"max_shards": n}
 //	GET  /shards    serving shard set
 //	GET  /stats     every metric family as JSON (the /metrics gather)
 //	GET  /metrics   the same families as Prometheus text
@@ -139,11 +136,11 @@ type Config struct {
 	// FollowURL, when set, boots the daemon as a read-only follower
 	// replicating from the leader at this base URL: the WAL tail is
 	// streamed and applied at the leader's recorded versions, mutations
-	// (/append, /append-stream, /compact) are refused with a pointer to
-	// the leader, and /healthz degrades to "degraded"/"replication" when
-	// the leader has been silent past StalenessBudget — reads keep
-	// serving the last durably applied state either way. Requires a
-	// durable database (OpenDurable).
+	// (/append, /compact) are refused with a pointer to the leader, and
+	// /healthz degrades to "degraded"/"replication" when the leader has
+	// been silent past StalenessBudget — reads keep serving the last
+	// durably applied state either way. Requires a durable database
+	// (OpenDurable) and no AutoCompactInterval.
 	FollowURL string
 
 	// StalenessBudget is how long the leader may be silent before a
@@ -187,12 +184,6 @@ const (
 	maxCheckpointBackoffMult = 32
 	maxCheckpointBackoff     = 5 * time.Minute
 )
-
-// maxStreamBytes bounds /append-stream bodies, separately from
-// Config.MaxBodyBytes: streamed documents are spooled to disk and
-// scanned with memory bounded by depth, so they may be far larger than
-// any buffered body.
-const maxStreamBytes = 1 << 30
 
 // withDefaults validates and fills in the zero fields.
 func (c Config) withDefaults() (Config, error) {
@@ -242,6 +233,11 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.StalenessBudget < 0 {
 		return c, fmt.Errorf("server: negative staleness budget %s", c.StalenessBudget)
+	}
+	if c.FollowURL != "" && c.AutoCompactInterval > 0 {
+		// A follower serves the leader's shard layout; compacting on its
+		// own would serve a layout the leader never had.
+		return c, fmt.Errorf("server: a follower cannot auto-compact (auto-compact interval %s); compaction runs on the leader only", c.AutoCompactInterval)
 	}
 	if c.FollowURL != "" && c.StalenessBudget == 0 {
 		c.StalenessBudget = DefaultStalenessBudget
@@ -394,7 +390,6 @@ func newServer(db *xmlest.Database, est *xmlest.Estimator, cfg Config) (*Server,
 	s.mux = http.NewServeMux()
 	s.mux.Handle("/estimate", s.instrument("estimate", http.MethodPost, cfg.MaxBodyBytes, s.handleEstimate))
 	s.mux.Handle("/append", s.instrument("append", http.MethodPost, cfg.MaxBodyBytes, s.handleAppend))
-	s.mux.Handle("/append-stream", s.instrument("append-stream", http.MethodPost, maxStreamBytes, s.handleAppendStream))
 	s.mux.Handle("/compact", s.instrument("compact", http.MethodPost, cfg.MaxBodyBytes, s.handleCompact))
 	s.mux.Handle("/shards", s.instrument("shards", http.MethodGet, cfg.MaxBodyBytes, s.handleShards))
 	s.mux.Handle("/stats", s.instrument("stats", http.MethodGet, cfg.MaxBodyBytes, s.handleStats))
@@ -421,7 +416,7 @@ func (s *Server) collectServer(e *metrics.Expo) {
 		draining = 1
 	}
 	e.Gauge("xqest_draining", "1 while graceful shutdown drains in-flight requests.", draining)
-	e.Counter("xqest_appended_docs_total", "Documents accepted via /append and /append-stream.", float64(s.appendsSeen.Load()))
+	e.Counter("xqest_appended_docs_total", "Documents accepted via /append.", float64(s.appendsSeen.Load()))
 	e.Counter("xqest_autocompact_rounds_total", "Auto-compaction rounds run.", float64(s.autoRounds.Load()))
 	e.Counter("xqest_autocompact_merged_total", "Shards merged away by auto-compaction.", float64(s.autoMerges.Load()))
 	e.Counter("xqest_checkpoint_rounds_total", "Background checkpoint rounds run.", float64(s.cpRounds.Load()))
@@ -435,13 +430,7 @@ func (s *Server) collectServer(e *metrics.Expo) {
 	e.Gauge("xqest_corpus_nodes", "Nodes in the serving set.", float64(st.Nodes))
 	e.Gauge("xqest_corpus_predicates", "Registered predicates (the first document-backed shard's catalog).", float64(st.Predicates))
 	e.Gauge("xqest_summary_bytes", "Compact encoding size of the serving set's summaries.", float64(snap.StorageBytes()))
-	// A loaded estimator carries zero options (its grid lives inside
-	// the summary blob), so the default is the best available answer.
-	grid := snap.Options().GridSize
-	if grid == 0 {
-		grid = xmlest.DefaultOptions.GridSize
-	}
-	e.Gauge("xqest_grid_size", "Position-histogram grid size of the served estimator.", float64(grid))
+	e.Gauge("xqest_grid_size", "Position-histogram grid size of the served estimator.", float64(snap.Options().GridSize))
 	readOnly := 0.0
 	if s.ReadOnly() {
 		readOnly = 1

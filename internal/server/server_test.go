@@ -468,12 +468,19 @@ func TestConfigValidation(t *testing.T) {
 		{MaxInflightAppends: -1},
 		{MaxBatchPatterns: -1},
 		{AutoCompactInterval: -time.Second},
+		{FollowURL: "http://127.0.0.1:1", AutoCompactInterval: time.Second},
 	}
 	for i, cfg := range bad {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 		if _, err := New(db, cfg); err == nil {
 			t.Errorf("config %d: bad config accepted at boot", i)
 		}
+	}
+	// The follower refusal comes from the config itself, before the
+	// database is checked for durability.
+	if _, err := (Config{FollowURL: "http://127.0.0.1:1", AutoCompactInterval: time.Second}).withDefaults(); err == nil ||
+		!strings.Contains(err.Error(), "follower cannot auto-compact") {
+		t.Errorf("follower with auto-compaction: err = %v, want the auto-compact refusal", err)
 	}
 }
 

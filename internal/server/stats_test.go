@@ -186,7 +186,7 @@ func TestStatsAndMetricsRenderOneGather(t *testing.T) {
 	}{
 		{"durable leader", leader, leaderTS.URL, map[string]float64{"xqest_read_only": 0, "xqest_corpus_docs": 2}},
 		{"follower", follower, followerTS.URL, map[string]float64{"xqest_replica_lag_seq": 0, "xqest_replica_applied_seq": 1}},
-		{"read-only", readOnly, readOnlyTS.URL, map[string]float64{"xqest_read_only": 1, "xqest_shards": 1, "xqest_corpus_docs": 1}},
+		{"read-only", readOnly, readOnlyTS.URL, map[string]float64{"xqest_read_only": 1, "xqest_shards": 1, "xqest_corpus_docs": 1, "xqest_grid_size": 4}},
 		{"shadow sampling", sampled, sampledTS.URL, map[string]float64{"xqest_accuracy_sample_every": 1}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -895,28 +895,6 @@ func (d *DurableStore) Drop(id uint64) (bool, error) {
 	return true, err
 }
 
-// AppendSummary durably lands a prebuilt summary-only shard (streamed
-// ingest: the raw documents were never buffered, so there is nothing
-// to WAL) and makes it durable with an immediate checkpoint — the same
-// discipline as Drop. The ack is the checkpoint: on failure the shard
-// is rolled back out of the serving set so no un-durable batch is
-// served as if acknowledged. (If the failure landed after the manifest
-// committed, a recovery may resurrect the batch — allowed, as un-acked
-// batches are "maybe present", exactly like an un-fsynced WAL tail.)
-func (d *DurableStore) AppendSummary(est *core.Estimator, docs, nodes int) (*Shard, error) {
-	d.cpMu.Lock()
-	defer d.cpMu.Unlock()
-	sh, err := d.store.AppendSummary(est, docs, nodes)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := d.checkpointGuarded(); err != nil {
-		d.store.Drop(sh.id)
-		return nil, err
-	}
-	return sh, nil
-}
-
 // Close drains and stops the ingest coalescer (committing and
 // resolving every batch already accepted), checkpoints the serving
 // set, and closes the WAL. The directory can be reopened with

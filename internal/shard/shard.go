@@ -46,8 +46,8 @@ var ErrSummaryOnly = errors.New("shard: summary-only shard cannot be counted exa
 // corpus's documents with its predicate catalog and lazily built
 // summaries. Tree-backed shards can build a summary for any Options and
 // participate in exact counting and compaction; summary-only shards
-// (streamed ingest, loaded blobs) carry one prebuilt estimator and no
-// documents.
+// (loaded blobs, checkpointed shards after recovery, snapshot-booted
+// followers) carry one prebuilt estimator and no documents.
 type Shard struct {
 	id    uint64
 	tree  *xmltree.Tree      // nil for summary-only shards
@@ -61,9 +61,9 @@ type Shard struct {
 	// walSeq is the highest write-ahead-log sequence whose documents
 	// the shard covers: its own record for an appended shard, the
 	// maximum across the merge group for a compacted shard, and 0 for
-	// shards that never went through a WAL (bootstrap corpus, streamed
-	// summaries). A checkpoint containing the shard makes every record
-	// up to walSeq replayable-free.
+	// shards that never went through a WAL (the bootstrap corpus). A
+	// checkpoint containing the shard makes every record up to walSeq
+	// replayable-free.
 	walSeq uint64
 
 	mu       sync.Mutex

@@ -225,21 +225,6 @@ func (st *Store) appendShard(tree *xmltree.Tree, cat *predicate.Catalog) (*Shard
 	return sh, nil
 }
 
-// AppendSummary lands a prebuilt summary (for example, the output of a
-// streaming ingest pass) as a summary-only shard. docs and nodes are
-// metadata for introspection and compaction planning; summary-only
-// shards never compact.
-func (st *Store) AppendSummary(est *core.Estimator, docs, nodes int) (*Shard, error) {
-	if est == nil {
-		return nil, fmt.Errorf("shard: nil summary")
-	}
-	sh := &Shard{id: st.nextID.Add(1), docs: docs, nodes: nodes, prebuilt: est}
-	st.writeMu.Lock()
-	defer st.writeMu.Unlock()
-	st.appendLocked(sh)
-	return sh, nil
-}
-
 // Drop removes the shard with the given id from the serving set and
 // reports whether it was present. The shard's documents disappear from
 // all subsequent estimates; snapshots taken earlier still see them.

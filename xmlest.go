@@ -43,7 +43,6 @@ import (
 	"xmlest/internal/pattern"
 	"xmlest/internal/predicate"
 	"xmlest/internal/shard"
-	"xmlest/internal/stream"
 	"xmlest/internal/xmltree"
 )
 
@@ -97,7 +96,8 @@ type ShardInfo struct {
 	Docs  int
 	Nodes int
 	// SummaryOnly marks shards that carry only a prebuilt summary (for
-	// example, loaded or streamed): they estimate but hold no documents.
+	// example, loaded or recovered from a checkpoint): they estimate but
+	// hold no documents.
 	SummaryOnly bool
 	// Version is the first serving snapshot that contained the shard —
 	// the visibility watermark: any estimate served at Version or later
@@ -231,62 +231,6 @@ func (db *Database) AppendTree(tree *xmltree.Tree) (ShardInfo, error) {
 	return shardInfo(sh), nil
 }
 
-// AppendStream lands one XML document from a re-openable byte stream
-// as a summary-only shard, never buffering the document in memory: the
-// stream is scanned twice (pass one sizes the position space and
-// discovers the tag vocabulary, pass two feeds the histograms) with
-// memory bounded by document depth plus the summary itself — the
-// ingest path for documents that exceed memory. gridSize 0 uses the
-// data directory's pinned grid (durable) or DefaultOptions.GridSize.
-//
-// The database's predicate vocabulary must be all-tags with no
-// registered tree predicates: a byte stream can answer "which tag is
-// this element" but not predicates that need the materialized tree.
-//
-// On a durable database the shard is made durable by an immediate
-// checkpoint rather than a WAL record — raw bytes were never held, so
-// there is nothing to replay — and the ack returns only after the
-// checkpoint commits.
-func (db *Database) AppendStream(open func() (io.ReadCloser, error), gridSize int) (ShardInfo, error) {
-	if open == nil {
-		return ShardInfo{}, fmt.Errorf("xmlest: AppendStream needs a source")
-	}
-	spec := db.store.Spec()
-	if !spec.AllTags || len(spec.Preds) > 0 {
-		return ShardInfo{}, fmt.Errorf(
-			"xmlest: streaming append requires the all-tags predicate vocabulary (tree-based predicates cannot be evaluated on a byte stream)")
-	}
-	if db.durable != nil {
-		pinned := db.durable.GridSize()
-		if gridSize == 0 {
-			gridSize = pinned
-		}
-		if gridSize != pinned {
-			return ShardInfo{}, fmt.Errorf(
-				"xmlest: streaming append grid %d differs from the data directory's pinned grid %d", gridSize, pinned)
-		}
-	} else if gridSize == 0 {
-		gridSize = DefaultOptions.GridSize
-	}
-	est, res, err := stream.BuildAllTagsEstimator(stream.Source(open), gridSize)
-	if err != nil {
-		return ShardInfo{}, err
-	}
-	if res.Nodes == 0 {
-		return ShardInfo{}, fmt.Errorf("xmlest: refusing to append an empty tree")
-	}
-	var sh *shard.Shard
-	if db.durable != nil {
-		sh, err = db.durable.AppendSummary(est, 1, res.Nodes)
-	} else {
-		sh, err = db.store.AppendSummary(est, 1, res.Nodes)
-	}
-	if err != nil {
-		return ShardInfo{}, err
-	}
-	return shardInfo(sh), nil
-}
-
 // DropShard removes a shard from the serving set, reporting whether it
 // was present. Estimates stop reflecting its documents immediately;
 // earlier snapshots still see them. On a durable database the drop is
@@ -368,8 +312,8 @@ func statsOf(set *shard.Set) DatabaseStats {
 // every Append, DropShard and Compact.
 func (db *Database) Version() uint64 { return db.store.Version() }
 
-// Store exposes the underlying shard store for advanced use (streamed
-// summary-only shards, custom compaction scheduling).
+// Store exposes the underlying shard store for advanced use (custom
+// compaction scheduling, per-layer instrumentation).
 func (db *Database) Store() *shard.Store { return db.store }
 
 func shardInfo(sh *shard.Shard) ShardInfo {
@@ -608,8 +552,8 @@ func (e *Estimator) Snapshot() *Estimator {
 }
 
 // Options returns the estimator's effective options (defaults
-// applied). Estimators loaded from a summary blob report the zero
-// options: their grid lives inside the blob.
+// applied). Estimators loaded from a summary blob report only the grid
+// size their summaries carry.
 func (e *Estimator) Options() Options { return e.opts }
 
 // ShardCount returns the number of shards in the serving (or pinned)
@@ -874,8 +818,18 @@ func LoadEstimator(blob []byte) (*Estimator, error) {
 	}
 	// The loaded set is the only set of a store of its own, so the
 	// estimator serves it live, with a compiled-query memo like a
-	// database's.
-	return &Estimator{store: shard.StoreOf(set)}, nil
+	// database's. Its grid is the one its summaries carry: shards clamp
+	// the grid to their own positions, so the largest is the grid the
+	// summary was built with.
+	var opts Options
+	for _, sh := range set.Shards() {
+		est, err := sh.Summary(core.Options{})
+		if err != nil {
+			return nil, err
+		}
+		opts.GridSize = max(opts.GridSize, est.Grid().Size())
+	}
+	return &Estimator{store: shard.StoreOf(set), opts: opts}, nil
 }
 
 // Find enumerates up to limit concrete matches of a twig pattern

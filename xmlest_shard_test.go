@@ -1,16 +1,16 @@
 // Facade-level tests of the shard lifecycle: append-to-visible,
 // snapshot pinning and staleness, compaction, shard-set persistence
-// and streamed summary-only shards.
+// and summary-only shards.
 package xmlest_test
 
 import (
-	"bytes"
-	"io"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"xmlest"
-	"xmlest/internal/stream"
+	"xmlest/internal/shard"
 )
 
 const dept1 = `<department>
@@ -318,39 +318,92 @@ func TestCoreSeesRegisteredPredicates(t *testing.T) {
 	}
 }
 
+// TestStreamedShardJoinsDatabase checks that a summary-only shard (here
+// one recovered from a checkpoint) joins a database's estimates next to
+// document-backed shards, and that exact counting refuses it.
 func TestStreamedShardJoinsDatabase(t *testing.T) {
-	db, err := xmlest.Open(strings.NewReader(dept1))
+	live, err := xmlest.Open(strings.NewReader(dept1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.AddAllTagPredicates()
+	live.AddAllTagPredicates()
+	liveEst, err := live.NewEstimator(xmlest.Options{GridSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := liveEst.Estimate("//faculty//TA")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Checkpoint dept2 on Close; the next boot loads it summary-only.
+	dir := t.TempDir()
+	cfg := xmlest.DurableConfig{
+		Options: xmlest.Options{GridSize: 4},
+		Bootstrap: func() (*xmlest.Database, error) {
+			db, err := xmlest.Open(strings.NewReader(dept2))
+			if err != nil {
+				return nil, err
+			}
+			db.AddAllTagPredicates()
+			return db, nil
+		},
+	}
+	boot, err := xmlest.OpenDurable(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := boot.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err := xmlest.OpenDurable(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Append(strings.NewReader(dept1)); err != nil {
+		t.Fatal(err)
+	}
+	shards := db.Shards()
+	if len(shards) != 2 || !shards[0].SummaryOnly || shards[1].SummaryOnly || shards[0].ID == shards[1].ID {
+		t.Fatalf("want a summary-only shard then a document-backed one: %+v", shards)
+	}
+
 	est, err := db.NewEstimator(xmlest.Options{GridSize: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	before, _ := est.Estimate("//faculty//TA")
-
-	doc := []byte(dept2)
-	src := func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(doc)), nil }
-	sh, res, err := stream.AppendShard(db.Store(), src, 4, []stream.EventPredicate{
-		stream.TagPred{Tag: "faculty"},
-		stream.TagPred{Tag: "TA"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Nodes == 0 || !db.Shards()[1].SummaryOnly || sh.ID() == 0 {
-		t.Fatalf("streamed shard: res.Nodes=%d info=%+v", res.Nodes, db.Shards()[1])
 	}
 	after, err := est.Estimate("//faculty//TA")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after.Estimate <= before.Estimate {
-		t.Fatalf("streamed shard not visible: %v -> %v", before.Estimate, after.Estimate)
+		t.Fatalf("summary-only shard not visible: %v -> %v", before.Estimate, after.Estimate)
 	}
+
+	// The same two documents as two document-backed shards estimate the same.
+	control, err := xmlest.Open(strings.NewReader(dept2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	control.AddAllTagPredicates()
+	if _, err := control.Append(strings.NewReader(dept1)); err != nil {
+		t.Fatal(err)
+	}
+	controlEst, err := control.NewEstimator(xmlest.Options{GridSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := controlEst.Estimate("//faculty//TA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(after.Estimate) != math.Float64bits(ref.Estimate) {
+		t.Fatalf("estimate over summary-only and live shards %v != control %v", after.Estimate, ref.Estimate)
+	}
+
 	// Exact counting cannot cover summary-only shards.
-	if _, err := db.Count("//faculty//TA"); err == nil {
-		t.Fatal("Count over summary-only shard: want error")
+	if _, err := db.Count("//faculty//TA"); !errors.Is(err, shard.ErrSummaryOnly) {
+		t.Fatalf("Count over summary-only shard: err = %v, want ErrSummaryOnly", err)
 	}
 }
